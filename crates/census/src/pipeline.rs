@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use laces_core::classify::AnycastClassification;
 use laces_core::fault::FaultPlan;
-use laces_core::orchestrator::run_measurement;
+use laces_core::orchestrator::run_classified;
 use laces_core::spec::MeasurementSpec;
 use laces_core::MeasurementError;
 use laces_gcd::engine::{run_campaign, GcdClass, GcdConfig};
@@ -29,7 +29,7 @@ use laces_hitlist::Hitlist;
 use laces_netsim::bgp::BgpTable;
 use laces_netsim::{bgp_table, PlatformId, TargetKind, World};
 use laces_obs::{names, RunReport, SimClock, StageTimer};
-use laces_packet::{PrefixKey, Protocol};
+use laces_packet::{IpVersion, PrefixKey, Protocol};
 use laces_trace::{Component, TraceConfig, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -198,7 +198,8 @@ impl CensusPipeline {
         let world = &self.world;
         let mut stats = CensusStats::default();
         let mut clock = SimClock::new();
-        let mut classifications: BTreeMap<String, AnycastClassification> = BTreeMap::new();
+        let mut classifications: BTreeMap<(IpVersion, Protocol), AnycastClassification> =
+            BTreeMap::new();
         let mut addr_of: BTreeMap<PrefixKey, IpAddr> = BTreeMap::new();
 
         // --- Stage 1: anycast-based measurements ------------------------
@@ -217,7 +218,7 @@ impl CensusPipeline {
                              stats: &mut CensusStats,
                              clock: &mut SimClock|
          -> Result<(), MeasurementError> {
-            let label = format!("{}{}", protocol.name(), hitlist.family.suffix());
+            let label = pass_label(protocol, hitlist.family);
             let targets = Arc::new(hitlist.addresses());
             let mut builder = MeasurementSpec::builder(
                 self.cfg.base_measurement_id + day * 32 + stage_idx,
@@ -237,7 +238,10 @@ impl CensusPipeline {
             stage_idx += 1;
             let mut stage = StageTimer::start(format!("anycast:{label}"), &*clock);
             let stage_start = clock.now_ms();
-            let outcome = run_measurement(world, &spec)?;
+            // The classify pass gets its own tracer so its contribution
+            // and verdict events land in a "<label>/classify" section.
+            let classify_tracer = Tracer::new(self.cfg.trace);
+            let outcome = run_classified(world, &spec, &classify_tracer)?;
             stats.anycast_probes += outcome.probes_sent;
             stage.count("targets", spec.targets.len() as u64);
             stage.count("probes_sent", outcome.probes_sent);
@@ -251,20 +255,15 @@ impl CensusPipeline {
             // published, but flagged with the stage's typed reasons.
             stats.telemetry.absorb(&label, &outcome.telemetry);
             stats.telemetry.push_stage(stage.finish(&*clock));
-            stats
-                .trace_report
-                .absorb(&label, outcome.trace_report.clone());
-            // The classify pass gets its own tracer so its contribution
-            // and verdict events land in a "<label>/classify" section.
-            let classify_tracer = Tracer::new(self.cfg.trace);
-            let class = AnycastClassification::from_outcome_traced(&outcome, &classify_tracer);
+            stats.trace_report.absorb(&label, outcome.trace_report);
             stats
                 .trace_report
                 .absorb(&label, classify_tracer.snapshot("classify"));
+            let class = outcome.classification;
             stats
                 .ats_per_protocol
-                .insert(label.clone(), class.anycast_targets().len());
-            classifications.insert(label, class);
+                .insert(label, class.anycast_targets().len());
+            classifications.insert((hitlist.family, protocol), class);
             Ok(())
         };
 
@@ -355,22 +354,17 @@ impl CensusPipeline {
                 .map(|(p, _)| *p),
         );
         for prefix in publish {
-            let mut anycast_based = BTreeMap::new();
-            for (label, class) in &classifications {
-                // Labels pair protocol and family; only record verdicts for
-                // the prefix's own family.
-                let is_v6_label = label.ends_with("v6");
-                if is_v6_label != matches!(prefix, PrefixKey::V6(_)) {
-                    continue;
-                }
-                let proto = match &label[..label.len() - 2] {
-                    "ICMP" => Protocol::Icmp,
-                    "TCP" => Protocol::Tcp,
-                    "UDP" => Protocol::Udp,
-                    other => unreachable!("unknown label {other}"),
-                };
-                anycast_based.insert(proto, class.class_of(prefix));
-            }
+            let family = if prefix.is_v4() {
+                IpVersion::V4
+            } else {
+                IpVersion::V6
+            };
+            // Only record verdicts of the prefix's own family.
+            let anycast_based = classifications
+                .iter()
+                .filter(|((f, _), _)| *f == family)
+                .map(|((_, proto), class)| (*proto, class.class_of(prefix)))
+                .collect();
             let gcd = report.results.get(&prefix).map(|r| GcdSummary {
                 class: r.class,
                 n_sites: r.n_sites(),
@@ -441,8 +435,16 @@ impl CensusPipeline {
                 records,
                 stats,
             },
-            classifications,
+            classifications: classifications
+                .into_iter()
+                .map(|((family, protocol), class)| (pass_label(protocol, family), class))
+                .collect(),
             gcd: report.results,
         })
     }
+}
+
+/// A pass's label in published stats and trace sections ("ICMPv4", ...).
+fn pass_label(protocol: Protocol, family: IpVersion) -> String {
+    format!("{}{}", protocol.name(), family.suffix())
 }

@@ -9,12 +9,14 @@
 //! almost all real.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::net::IpAddr;
+use std::sync::Arc;
 
 use laces_packet::PrefixKey;
 use laces_trace::{Component, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 
-use crate::results::MeasurementOutcome;
+use crate::results::{Accumulate, MeasurementOutcome, ProbeRecord};
 
 /// Verdict of the anycast-based stage for one prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,6 +48,67 @@ pub struct PrefixObservation {
     pub n_responses: u32,
     /// Distinct CHAOS identities observed (CHAOS measurements only).
     pub chaos_values: BTreeSet<String>,
+}
+
+impl PrefixObservation {
+    fn add_chaos(&mut self, identity: &str) {
+        if !self.chaos_values.contains(identity) {
+            self.chaos_values.insert(identity.to_string());
+        }
+    }
+}
+
+/// The census path's capture accumulator: one shard's classification
+/// state, indexed by hitlist position within the shard's slice. Each
+/// target keeps the mask of workers that captured a reply from it (worker
+/// counts are validated to 1..=64, so a `u64` holds every worker) and its
+/// response count; CHAOS identities are kept only for the replies that
+/// carry one. Shard tables cover disjoint slices and fold into the
+/// per-prefix classification once, at seal, in
+/// [`AnycastClassification::from_tables`].
+#[derive(Debug)]
+pub(crate) struct ClassTable {
+    lo: usize,
+    rx_masks: Vec<u64>,
+    responses: Vec<u32>,
+    chaos: Vec<(usize, Arc<str>)>,
+    tracer: Tracer,
+}
+
+impl ClassTable {
+    /// An empty table for the hitlist slice `[lo, hi)`; each folded reply
+    /// records its classification contribution into `tracer`.
+    pub(crate) fn new(lo: usize, hi: usize, tracer: Tracer) -> Self {
+        ClassTable {
+            lo,
+            rx_masks: vec![0; hi - lo],
+            responses: vec![0; hi - lo],
+            chaos: Vec::new(),
+            tracer,
+        }
+    }
+}
+
+impl Accumulate for ClassTable {
+    #[inline]
+    fn fold(&mut self, pos: usize, record: ProbeRecord) {
+        let ProbeRecord {
+            prefix,
+            rx_worker,
+            chaos_identity,
+            ..
+        } = record;
+        self.tracer.record_for(Component::Classify, prefix, || {
+            TraceEvent::ClassContribution { prefix, rx_worker }
+        });
+        let k = pos - self.lo;
+        // Captures come only from workers below the validated count (≤ 64).
+        self.rx_masks[k] |= 1u64 << rx_worker;
+        self.responses[k] += 1;
+        if let Some(c) = chaos_identity {
+            self.chaos.push((pos, c));
+        }
+    }
 }
 
 /// The anycast-based classification of one measurement.
@@ -80,11 +143,54 @@ impl AnycastClassification {
             o.rx_workers.insert(r.rx_worker);
             o.n_responses += 1;
             if let Some(c) = &r.chaos_identity {
-                if !o.chaos_values.contains(c.as_ref()) {
-                    o.chaos_values.insert(c.as_ref().to_string());
-                }
+                o.add_chaos(c);
             }
         }
+        Self::sealed(observations, outcome.n_targets, tracer)
+    }
+
+    /// Fold the shards' capture tables of one pass over `targets` by
+    /// prefix, exactly as [`from_outcome_traced`](Self::from_outcome_traced)
+    /// folds the pass's records: receiving workers unite, response counts
+    /// add, CHAOS identities unite. All three commute, so the order of
+    /// `tables` cannot show. Contributions were recorded into `tracer` at
+    /// capture; the verdicts are recorded here.
+    pub(crate) fn from_tables(tables: &[ClassTable], targets: &[IpAddr], tracer: &Tracer) -> Self {
+        let mut observations: BTreeMap<PrefixKey, PrefixObservation> = BTreeMap::new();
+        for t in tables {
+            for (k, (&mask, &n)) in t.rx_masks.iter().zip(&t.responses).enumerate() {
+                if n == 0 {
+                    continue;
+                }
+                let o = observations
+                    .entry(PrefixKey::of(targets[t.lo + k]))
+                    .or_default();
+                let mut rest = mask;
+                while rest != 0 {
+                    // `trailing_zeros` of a nonzero u64 is below 64.
+                    o.rx_workers
+                        .insert(u16::try_from(rest.trailing_zeros()).unwrap_or(u16::MAX));
+                    rest &= rest - 1;
+                }
+                o.n_responses += n;
+            }
+            for (pos, c) in &t.chaos {
+                observations
+                    .entry(PrefixKey::of(targets[*pos]))
+                    .or_default()
+                    .add_chaos(c);
+            }
+        }
+        Self::sealed(observations, targets.len(), tracer)
+    }
+
+    /// The finished classification, with one verdict event per responsive
+    /// prefix recorded into `tracer` (a `BTreeMap` walk, so deterministic).
+    fn sealed(
+        observations: BTreeMap<PrefixKey, PrefixObservation>,
+        n_targets: usize,
+        tracer: &Tracer,
+    ) -> Self {
         if tracer.is_enabled() {
             for (prefix, o) in &observations {
                 let verdict = if o.rx_workers.len() > 1 {
@@ -101,7 +207,7 @@ impl AnycastClassification {
         }
         AnycastClassification {
             observations,
-            n_targets: outcome.n_targets,
+            n_targets,
         }
     }
 

@@ -13,7 +13,10 @@
 //!
 //! Classification ([`classify`]) turns an aggregated outcome into the
 //! anycast-based verdict per prefix (unicast / anycast / unresponsive plus
-//! the receiving-VP count, the methodology's confidence signal).
+//! the receiving-VP count, the methodology's confidence signal). The
+//! census classifies at capture instead
+//! ([`run_classified`](orchestrator::run_classified)), with the same result
+//! and no per-reply records.
 //!
 //! # Example: a synchronized ICMP measurement
 //!
@@ -66,8 +69,10 @@ pub use laces_obs::{Degraded, DegradedReason, RunReport};
 #[allow(deprecated)]
 pub use orchestrator::ReservedIdError;
 pub use orchestrator::{
-    run_measurement, run_measurement_abortable, run_measurement_threaded,
+    run_classified, run_measurement, run_measurement_abortable, run_measurement_threaded,
     run_measurement_threaded_abortable, run_with_precheck, AbortHandle, PRECHECK_ID_BIT,
 };
-pub use results::{MeasurementOutcome, ProbeRecord, WorkerHealth, WorkerStatus, WorkerTelemetry};
+pub use results::{
+    ClassifiedOutcome, MeasurementOutcome, ProbeRecord, WorkerHealth, WorkerStatus, WorkerTelemetry,
+};
 pub use spec::{MeasurementSpec, MeasurementSpecBuilder};

@@ -11,9 +11,14 @@
 //! * **Sharded** ([`run_measurement`]) — the default. The hitlist is split
 //!   into `spec.shards` deterministic contiguous slices; each shard runs
 //!   the stream → probe → capture chain *inline* with its own per-worker
-//!   [`ProbeSession`]s, batch accumulators and [`RecordArena`], and the
-//!   arenas are merged exactly once at seal time. No channels, no
-//!   cross-shard locks on the hot path.
+//!   [`ProbeSession`]s, batch accumulators and capture accumulator, and
+//!   the accumulators are combined exactly once at seal time. No
+//!   channels, no cross-shard locks on the hot path. The capture step
+//!   folds each validated reply into the accumulator the entry point
+//!   chose: [`run_measurement`] keeps every record in a [`RecordArena`];
+//!   [`run_classified`] (the census day's passes) folds them into a
+//!   per-target table and returns the classification without ever
+//!   building, sorting or re-reading a record vector.
 //! * **Threaded** ([`run_measurement_threaded`]) — the process-shaped
 //!   reference: each Worker is an OS thread and the streams are
 //!   `crossbeam` channels, which mirrors the real system's concurrency
@@ -49,14 +54,15 @@ use laces_obs::{
 };
 use laces_packet::probe::{attribute_prepared, parse_reply, ProbeMeta};
 use laces_packet::{IpVersion, PrefixKey};
-use laces_trace::{Component, FabricFaultKind, OrderFaultCause, TraceEvent, Tracer};
+use laces_trace::{Component, FabricFaultKind, OrderFaultCause, TraceEvent, TraceReport, Tracer};
 
 use crate::auth::{AuthKey, Sealed};
+use crate::classify::{AnycastClassification, ClassTable};
 use crate::error::MeasurementError;
 use crate::rate::window_start_ms;
 use crate::results::{
-    MeasurementOutcome, ProbeRecord, RecordArena, WorkerEvent, WorkerFailure, WorkerHealth,
-    WorkerStatus, WorkerTelemetry,
+    Accumulate, ClassifiedOutcome, MeasurementOutcome, ProbeRecord, RecordArena, WorkerEvent,
+    WorkerFailure, WorkerHealth, WorkerStatus, WorkerTelemetry,
 };
 use crate::spec::MeasurementSpec;
 use crate::worker::{run_worker, ProbeBatch, ProbeOrder, StartOrder, WorkerOut};
@@ -96,6 +102,45 @@ pub fn run_measurement(
     spec: &MeasurementSpec,
 ) -> Result<MeasurementOutcome, MeasurementError> {
     run_measurement_abortable(world, spec, &AbortHandle::new())
+}
+
+/// Run a measurement and classify its replies as they are captured: the
+/// census day's entry point. Each shard folds its validated replies into
+/// a table indexed by hitlist position (receiving-worker mask, response
+/// count, CHAOS identities when present); the tables are folded by prefix
+/// once at seal. No per-reply records are built, so none are merged,
+/// sorted or re-read.
+///
+/// The result equals [`AnycastClassification::from_outcome_traced`] of
+/// [`run_measurement`]'s outcome for the same spec, with the same
+/// classification events in `classify_tracer`, and the telemetry and
+/// measurement trace are byte-identical to that outcome's.
+///
+/// # Errors
+///
+/// As [`run_measurement`].
+pub fn run_classified(
+    world: &Arc<World>,
+    spec: &MeasurementSpec,
+    classify_tracer: &Tracer,
+) -> Result<ClassifiedOutcome, MeasurementError> {
+    let (tables, report) = run_sharded(world, spec, &AbortHandle::new(), |lo, hi| {
+        ClassTable::new(lo, hi, classify_tracer.clone())
+    })?;
+    let PassReport {
+        probes_sent,
+        worker_health,
+        telemetry,
+        trace_report,
+        ..
+    } = report;
+    Ok(ClassifiedOutcome {
+        classification: AnycastClassification::from_tables(&tables, &spec.targets, classify_tracer),
+        probes_sent,
+        worker_health,
+        telemetry,
+        trace_report,
+    })
 }
 
 /// A cancellation handle for a running measurement (R5: "Disconnecting the
@@ -210,12 +255,12 @@ fn base_telemetry(spec: &MeasurementSpec, n_workers: usize, span_ms: u64) -> Run
 /// their workers even here, and a crash scheduled after zero orders fires
 /// with zero orders delivered; later crashes and order-channel faults need
 /// deliveries that never happen.
-fn empty_hitlist_outcome(
+fn empty_hitlist_report(
     spec: &MeasurementSpec,
     n_workers: usize,
     mut telemetry: RunReport,
     tracer: &Tracer,
-) -> MeasurementOutcome {
+) -> PassReport {
     let worker_health: Vec<WorkerHealth> = (0..n_workers)
         .map(|w| {
             let w = worker_wire_id(w);
@@ -251,14 +296,9 @@ fn empty_hitlist_outcome(
         .filter(|h| h.status == WorkerStatus::Failed)
         .map(|h| h.worker)
         .collect();
-    MeasurementOutcome {
-        measurement_id: spec.id,
-        platform: spec.platform,
-        protocol: spec.protocol,
+    PassReport {
         n_workers,
         probes_sent: 0,
-        n_targets: 0,
-        records: Vec::new(),
         failed_workers,
         worker_health,
         telemetry,
@@ -284,7 +324,6 @@ fn platform_src_addr(spec: &MeasurementSpec) -> IpAddr {
 
 /// Everything a pipeline hands to the shared epilogue.
 struct RunTotals {
-    records: Vec<ProbeRecord>,
     probes_sent: u64,
     failed_workers: Vec<u16>,
     worker_health: Vec<WorkerHealth>,
@@ -292,21 +331,73 @@ struct RunTotals {
     shard_report: RunReport,
     orders_streamed: u64,
     rate_limiter_stalls: u64,
+    /// Validated captures kept (the record path's record count).
+    records_collected: u64,
+    /// RTTs of the kept captures, observed as they were captured.
+    rtts: Histogram,
 }
 
-/// The shared measurement epilogue: canonical sorts, stream counters,
-/// abort accounting, the RTT distribution and the stage span — identical
-/// for both pipelines so their outcomes stay comparable field by field.
-fn finalize_outcome(
+/// What a finished pass reports about itself, whichever accumulator its
+/// captures went to.
+struct PassReport {
+    n_workers: usize,
+    probes_sent: u64,
+    failed_workers: Vec<u16>,
+    worker_health: Vec<WorkerHealth>,
+    telemetry: RunReport,
+    shard_report: RunReport,
+    trace_report: TraceReport,
+}
+
+impl PassReport {
+    /// The record path's outcome: `records` (a multiset) in canonical
+    /// order. Shards (or worker threads) race to the result stream, so the
+    /// arrival order is scheduler noise; sorting makes equal runs
+    /// serialise identically (fault plans are replayable bit-for-bit).
+    fn into_outcome(
+        self,
+        spec: &MeasurementSpec,
+        mut records: Vec<ProbeRecord>,
+    ) -> MeasurementOutcome {
+        sort_canonical(&mut records);
+        let PassReport {
+            n_workers,
+            probes_sent,
+            failed_workers,
+            worker_health,
+            telemetry,
+            shard_report,
+            trace_report,
+        } = self;
+        MeasurementOutcome {
+            measurement_id: spec.id,
+            platform: spec.platform,
+            protocol: spec.protocol,
+            n_workers,
+            probes_sent,
+            n_targets: spec.targets.len(),
+            records,
+            failed_workers,
+            worker_health,
+            telemetry,
+            shard_report,
+            trace_report,
+        }
+    }
+}
+
+/// The shared measurement epilogue: stream counters, abort accounting,
+/// the RTT distribution and the stage span — identical for every pipeline
+/// and accumulator so their reports stay comparable field by field.
+fn seal_report(
     spec: &MeasurementSpec,
     n_workers: usize,
     span_ms: u64,
     abort: &AbortHandle,
     tracer: &Tracer,
     totals: RunTotals,
-) -> MeasurementOutcome {
+) -> PassReport {
     let RunTotals {
-        mut records,
         probes_sent,
         mut failed_workers,
         worker_health: mut health,
@@ -314,33 +405,24 @@ fn finalize_outcome(
         shard_report,
         orders_streamed,
         rate_limiter_stalls,
+        records_collected,
+        rtts,
     } = totals;
     failed_workers.sort_unstable();
     health.sort_unstable_by_key(|h| h.worker);
-    // Canonical record order: shards (or worker threads) race to the
-    // result stream, so the arrival order is scheduler noise. Sorting
-    // makes equal runs serialise identically (fault plans are replayable
-    // bit-for-bit).
-    sort_canonical(&mut records);
 
     telemetry.inc(names::orchestrator::ORDERS_STREAMED, orders_streamed);
     telemetry.inc(
         names::orchestrator::RATE_LIMITER_STALLS,
         rate_limiter_stalls,
     );
-    telemetry.inc(names::orchestrator::RECORDS_COLLECTED, records.len() as u64);
+    telemetry.inc(names::orchestrator::RECORDS_COLLECTED, records_collected);
     if abort.is_aborted() {
         telemetry.inc(names::orchestrator::ABORTS, 1);
         telemetry.add_degraded(DegradedReason::Aborted);
     }
-    // The RTT distribution is computed from the canonical record list (a
-    // multiset — order-independent by construction).
-    let mut rtts = Histogram::new(&metrics::RTT_BUCKETS_MS);
-    for r in &records {
-        if let Some(rtt) = r.rtt_ms() {
-            rtts.observe(rtt);
-        }
-    }
+    // The RTT distribution of the kept captures: a multiset, so the
+    // capture order cannot show.
     telemetry.record_histogram(names::worker::RTT_MS, rtts.snapshot());
     // Stage timing on the simulated clock: the probing phase spans the
     // rate-limited hitlist stream plus the last worker's offset window
@@ -358,14 +440,9 @@ fn finalize_outcome(
         sim_ms,
     });
 
-    MeasurementOutcome {
-        measurement_id: spec.id,
-        platform: spec.platform,
-        protocol: spec.protocol,
+    PassReport {
         n_workers,
         probes_sent,
-        n_targets: spec.targets.len(),
-        records,
         failed_workers,
         worker_health: health,
         telemetry,
@@ -511,26 +588,29 @@ struct ShardCtx<'a> {
     accepted: &'a AtomicUsize,
 }
 
-/// Validated-capture accumulation: shard-local record arena plus the
-/// per-worker rx-side counters, wired to the shared abort trigger.
-struct CaptureSink<'a> {
+/// The capture step: validates each delivery, folds the accepted ones
+/// into the shard's accumulator and keeps the per-worker rx-side counters
+/// and the RTT distribution, wired to the shared abort trigger.
+struct CaptureSink<'a, A> {
     measurement_id: u32,
-    arena: RecordArena,
+    acc: A,
     records_streamed: Vec<u64>,
     captures_rejected: Vec<u64>,
+    rtts: Histogram,
     abort_after: Option<usize>,
     accepted: &'a AtomicUsize,
     abort: &'a AbortHandle,
     tracer: &'a Tracer,
 }
 
-impl<'a> CaptureSink<'a> {
-    fn new(cx: &ShardCtx<'a>, n_workers: usize) -> Self {
+impl<'a, A: Accumulate> CaptureSink<'a, A> {
+    fn new(cx: &ShardCtx<'a>, n_workers: usize, acc: A) -> Self {
         CaptureSink {
             measurement_id: cx.spec.id,
-            arena: RecordArena::new(),
+            acc,
             records_streamed: vec![0; n_workers],
             captures_rejected: vec![0; n_workers],
+            rtts: Histogram::new(&metrics::RTT_BUCKETS_MS),
             abort_after: cx.spec.faults.abort_after_records,
             accepted: cx.accepted,
             abort: cx.abort,
@@ -538,9 +618,10 @@ impl<'a> CaptureSink<'a> {
         }
     }
 
-    /// Validate one capture at worker `rx` and accumulate the record —
-    /// the inline analogue of the threaded worker's capture filter.
-    fn capture(&mut self, d: &Delivery, rx: usize) {
+    /// Validate one capture at worker `rx` of the reply from the target at
+    /// hitlist position `pos`, and fold it into the accumulator — the
+    /// inline analogue of the threaded worker's capture filter.
+    fn capture(&mut self, d: &Delivery, rx: usize, pos: usize) {
         let rx_worker = worker_wire_id(rx);
         let prefix = PrefixKey::of(d.packet.src);
         // Fast-path deliveries carry pre-parsed attribution; resolving it
@@ -559,7 +640,7 @@ impl<'a> CaptureSink<'a> {
                     accepted: true,
                     chaos_identity: info.chaos_identity.as_deref().map(str::to_string),
                 });
-            self.arena.push(ProbeRecord {
+            let record = ProbeRecord {
                 prefix,
                 protocol: info.protocol,
                 rx_worker,
@@ -567,7 +648,11 @@ impl<'a> CaptureSink<'a> {
                 tx_time_ms: info.tx_time_ms,
                 rx_time_ms: d.rx_time_ms,
                 chaos_identity: info.chaos_identity,
-            });
+            };
+            if let Some(rtt) = record.rtt_ms() {
+                self.rtts.observe(rtt);
+            }
+            self.acc.fold(pos, record);
             self.records_streamed[rx] += 1;
             if let Some(limit) = self.abort_after {
                 // Mid-stream abort fault: the CLI disconnects once `limit`
@@ -592,8 +677,8 @@ impl<'a> CaptureSink<'a> {
 }
 
 /// Per-(shard, worker) transmit state: the resolved route session, wire
-/// and fabric stats, and the batch
-/// accumulator. `batch[..probed]` is the prefix that is actually
+/// and fabric stats, and the batch accumulator of `(hitlist position,
+/// order)` pairs. `batch[..probed]` is the prefix that is actually
 /// transmitted (orders past the worker's crash point are issued and
 /// counted but never probed — matching a worker that died with orders
 /// still queued).
@@ -602,22 +687,23 @@ struct ShardWorker {
     session: Option<ProbeSession>,
     wire: WireStats,
     fabric: FabricStats,
-    batch: Vec<ProbeOrder>,
+    batch: Vec<(usize, ProbeOrder)>,
     probed: usize,
 }
 
 /// What one shard reports back to the merge.
-struct ShardOutput {
+struct ShardOutput<'a, A> {
     index: usize,
     lo: usize,
     hi: usize,
-    arena: RecordArena,
+    /// The shard's capture step, holding its accumulator and rx-side
+    /// counters; deferred captures are drained into it at seal.
+    sink: CaptureSink<'a, A>,
     /// Per-worker tx-side telemetry (rx-side fields zero).
     tx: Vec<WorkerTelemetry>,
-    records_streamed: Vec<u64>,
-    captures_rejected: Vec<u64>,
-    /// Deliveries buffered for crash-scheduled workers, per worker.
-    deferred: Vec<Vec<Delivery>>,
+    /// Deliveries buffered for crash-scheduled workers, per worker, with
+    /// the hitlist position of the probed target.
+    deferred: Vec<Vec<(usize, Delivery)>>,
     /// Eligible orders issued per worker (the crash-limit denominator).
     issued: Vec<u64>,
     orders_streamed: u64,
@@ -637,8 +723,14 @@ fn shard_bounds(n: usize, shards: usize, s: usize) -> (usize, usize) {
 
 /// Run one shard of the hitlist stream inline: per-order fault semantics,
 /// batch accumulation, wire transmission, fabric verdicts and capture
-/// validation, all against the shard's own sessions and arenas.
-fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutput {
+/// validation, all against the shard's own sessions and accumulator `acc`.
+fn run_shard<'a, A: Accumulate>(
+    cx: &ShardCtx<'a>,
+    index: usize,
+    lo: usize,
+    hi: usize,
+    acc: A,
+) -> ShardOutput<'a, A> {
     let spec = cx.spec;
     let n_workers = cx.plans.len();
     let mut workers: Vec<ShardWorker> = (0..n_workers)
@@ -664,17 +756,18 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
             }
         })
         .collect();
-    let mut sink = CaptureSink::new(cx, n_workers);
-    let mut deferred: Vec<Vec<Delivery>> = (0..n_workers).map(|_| Vec::new()).collect();
+    let mut sink = CaptureSink::new(cx, n_workers, acc);
+    let mut deferred: Vec<Vec<(usize, Delivery)>> = (0..n_workers).map(|_| Vec::new()).collect();
     let mut issued = vec![0u64; n_workers];
     let mut orders_streamed = 0u64;
-    let mut deliveries: Vec<Delivery> = Vec::new();
+    let mut slots: Vec<Option<Delivery>> = Vec::new();
 
     // One closure-free flush path, shared by the batch-boundary and tail
     // flushes: count the whole batch as issued (orders past a crash point
     // were still streamed), transmit the probed prefix, apply fabric
     // verdicts and dispose of the deliveries per the rx worker's capture
-    // mode.
+    // mode. The wire returns one slot per probe, which pairs each
+    // delivery with its order's hitlist position.
     macro_rules! flush {
         ($w:expr) => {{
             let w: usize = $w;
@@ -685,7 +778,7 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
                 let take = ws.probed;
                 if take > 0 {
                     let tx_offset = spec.offset_ms * u64::from(ws.wid);
-                    for order in &ws.batch[..take] {
+                    for (_, order) in &ws.batch[..take] {
                         let prefix = PrefixKey::of(order.target);
                         let wid = ws.wid;
                         cx.tracer
@@ -702,7 +795,7 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
                     // record outcome.
                     let probes: Vec<BatchProbe<'_>> = ws.batch[..take]
                         .iter()
-                        .map(|order| BatchProbe {
+                        .map(|(_, order)| BatchProbe {
                             dst: order.target,
                             bytes: &[],
                             tx_time_ms: order.window_start_ms + tx_offset,
@@ -719,17 +812,18 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
                         .collect();
                     if let Some(session) = ws.session.as_mut() {
                         // laces-lint: allow(discarded-fallibility) — the zero-copy path sends metadata with empty byte slices; the wire's only error source is parsing probe bytes, which this path never does
-                        let _ = cx.world.send_probe_batch(
+                        let _ = cx.world.send_probe_batch_slotted(
                             session,
                             cx.src_addr,
                             spec.protocol,
                             &probes,
                             &cx.ctx,
                             &ws.wire,
-                            &mut deliveries,
+                            &mut slots,
                         );
                     }
-                    for d in deliveries.drain(..) {
+                    for (&(pos, _), d) in ws.batch[..take].iter().zip(slots.drain(..)) {
+                        let Some(d) = d else { continue };
                         let verdict = spec.faults.fabric.map_or(FabricVerdict::Deliver, |f| {
                             f.verdict_observed(&d, &ws.fabric)
                         });
@@ -759,15 +853,15 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
                         match cx.plans.get(rx).map(|p| p.capture) {
                             Some(CaptureMode::Live) => {
                                 if verdict == FabricVerdict::Duplicate {
-                                    sink.capture(&d, rx);
+                                    sink.capture(&d, rx, pos);
                                 }
-                                sink.capture(&d, rx);
+                                sink.capture(&d, rx, pos);
                             }
                             Some(CaptureMode::Deferred) => {
                                 if verdict == FabricVerdict::Duplicate {
-                                    deferred[rx].push(d.clone());
+                                    deferred[rx].push((pos, d.clone()));
                                 }
-                                deferred[rx].push(d);
+                                deferred[rx].push((pos, d));
                             }
                             Some(CaptureMode::Lost) | None => {}
                         }
@@ -780,14 +874,6 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
     }
 
     // Stream the shard's slice at the schedule's global rate windows.
-    // `last_window` is seeded from the last index *before* the slice, so
-    // summing per-shard stall counts reproduces the single-streamer count
-    // of window transitions exactly.
-    let mut last_window = if lo == 0 {
-        0
-    } else {
-        window_start_ms(lo - 1, spec.rate_per_s)
-    };
     let mut aborted = false;
     for i in lo..hi {
         if cx.abort.is_aborted() {
@@ -799,10 +885,6 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
         }
         let target = spec.targets[i];
         let window = window_start_ms(i, spec.rate_per_s);
-        if window > last_window {
-            orders_streamed += 0; // (stalls counted below; keep shape flat)
-            last_window = window;
-        }
         let prefix = PrefixKey::of(target);
         for w in 0..n_workers {
             let plan = &cx.plans[w];
@@ -842,10 +924,13 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
                 }
             });
             let ws = &mut workers[w];
-            ws.batch.push(ProbeOrder {
-                target,
-                window_start_ms: window,
-            });
+            ws.batch.push((
+                i,
+                ProbeOrder {
+                    target,
+                    window_start_ms: window,
+                },
+            ));
             if i < plan.probe_end {
                 ws.probed += 1;
             }
@@ -864,10 +949,12 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
 
     // Stall counting is a pure function of the slice bounds: the number of
     // indices in [lo, hi) whose window opens strictly later than their
-    // predecessor's. Recomputing it here (rather than inside the loop)
-    // keeps the count exact even when an abort cut the loop short — the
-    // threaded pipeline's count under abort is scheduler noise anyway, and
-    // fault-free runs are what the invariance contract pins.
+    // predecessor's, seeded from the last index *before* the slice so the
+    // per-shard counts sum to the single-streamer count. Counting here
+    // (rather than inside the loop) keeps the count exact even when an
+    // abort cut the loop short — the threaded pipeline's count under abort
+    // is scheduler noise anyway, and fault-free runs are what the
+    // invariance contract pins.
     let mut rate_limiter_stalls = 0u64;
     let mut prev = if lo == 0 {
         0
@@ -882,7 +969,6 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
             prev = w;
         }
     }
-    let _ = last_window;
 
     let tx: Vec<WorkerTelemetry> = workers
         .iter()
@@ -901,10 +987,8 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
         index,
         lo,
         hi,
-        arena: sink.arena,
+        sink,
         tx,
-        records_streamed: sink.records_streamed,
-        captures_rejected: sink.captures_rejected,
         deferred,
         issued,
         orders_streamed,
@@ -924,13 +1008,28 @@ pub fn run_measurement_abortable(
     spec: &MeasurementSpec,
     abort: &AbortHandle,
 ) -> Result<MeasurementOutcome, MeasurementError> {
+    let (arenas, report) = run_sharded(world, spec, abort, |_, _| RecordArena::new())?;
+    Ok(report.into_outcome(spec, RecordArena::merge(arenas)))
+}
+
+/// The sharded pipeline with the caller's capture accumulator: shard `s`
+/// folds its validated captures into `new_acc(lo, hi)` for its slice
+/// `[lo, hi)`. Returns every shard's accumulator (deferred captures of
+/// surviving workers included) and the pass's report.
+fn run_sharded<A: Accumulate>(
+    world: &Arc<World>,
+    spec: &MeasurementSpec,
+    abort: &AbortHandle,
+    new_acc: impl Fn(usize, usize) -> A + Sync,
+) -> Result<(Vec<A>, PassReport), MeasurementError> {
     let n_workers = validated_workers(world, spec)?;
     let span_ms = spec.span_ms(n_workers);
     let tracer = Tracer::new(spec.trace);
     let mut telemetry = base_telemetry(spec, n_workers, span_ms);
 
     if spec.targets.is_empty() {
-        return Ok(empty_hitlist_outcome(spec, n_workers, telemetry, &tracer));
+        let report = empty_hitlist_report(spec, n_workers, telemetry, &tracer);
+        return Ok((Vec::new(), report));
     }
 
     let src_addr = platform_src_addr(spec);
@@ -955,19 +1054,20 @@ pub fn run_measurement_abortable(
         accepted: &accepted,
     };
 
-    let mut outs: Vec<ShardOutput> = Vec::with_capacity(shards);
+    let mut outs: Vec<ShardOutput<'_, A>> = Vec::with_capacity(shards);
     let mut lost_shards = 0u64;
     if shards == 1 {
         // The single-shard census runs entirely on the calling thread: no
         // spawn, no join, no synchronisation at all.
-        outs.push(run_shard(&cx, 0, 0, n));
+        outs.push(run_shard(&cx, 0, 0, n, new_acc(0, n)));
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..shards)
                 .map(|s| {
                     let cx = &cx;
+                    let new_acc = &new_acc;
                     let (lo, hi) = shard_bounds(n, shards, s);
-                    scope.spawn(move || run_shard(cx, s, lo, hi))
+                    scope.spawn(move || run_shard(cx, s, lo, hi, new_acc(lo, hi)))
                 })
                 .collect();
             for (s, h) in handles.into_iter().enumerate() {
@@ -1011,17 +1111,16 @@ pub fn run_measurement_abortable(
     // Deferred-capture resolution: a crash-scheduled worker that survived
     // (the stream ended before its crash point) drains its buffered
     // deliveries now, exactly like the threaded worker's final capture
-    // phase; a crashed worker loses them with its site.
-    let mut late = CaptureSink::new(&cx, n_workers);
+    // phase; a crashed worker loses them with its site. Each shard's
+    // deliveries lie in its own slice, so they drain into its own sink.
     for o in &mut outs {
         for (rx, &crashed) in crash_fires.iter().enumerate() {
+            let dels = std::mem::take(&mut o.deferred[rx]);
             if crashed {
-                o.deferred[rx].clear();
                 continue;
             }
-            let dels = std::mem::take(&mut o.deferred[rx]);
-            for d in &dels {
-                late.capture(d, rx);
+            for (pos, d) in &dels {
+                o.sink.capture(d, rx, *pos);
             }
         }
     }
@@ -1030,6 +1129,7 @@ pub fn run_measurement_abortable(
     // pipeline merges in arrival order; every merge operation is
     // order-independent, so the reports agree.)
     let mut probes_sent = 0u64;
+    let mut records_collected = 0u64;
     let mut failed_workers: Vec<u16> = Vec::new();
     let mut worker_health: Vec<WorkerHealth> = Vec::with_capacity(n_workers);
     for (w, plan) in plans.iter().enumerate() {
@@ -1041,12 +1141,11 @@ pub fn run_measurement_abortable(
             t.unanswered += o.tx[w].unanswered;
             t.fabric_dropped += o.tx[w].fabric_dropped;
             t.fabric_duplicated += o.tx[w].fabric_duplicated;
-            t.records_streamed += o.records_streamed[w];
-            t.captures_rejected += o.captures_rejected[w];
+            t.records_streamed += o.sink.records_streamed[w];
+            t.captures_rejected += o.sink.captures_rejected[w];
         }
-        t.records_streamed += late.records_streamed[w];
-        t.captures_rejected += late.captures_rejected[w];
         probes_sent += t.probes_sent;
+        records_collected += t.records_streamed;
         merge_worker_telemetry(&mut telemetry, wid, &t);
         if plan.seal_rejected {
             tracer.record(Component::Control, || TraceEvent::WorkerFault {
@@ -1122,18 +1221,20 @@ pub fn run_measurement_abortable(
 
     let orders_streamed: u64 = outs.iter().map(|o| o.orders_streamed).sum();
     let rate_limiter_stalls: u64 = outs.iter().map(|o| o.rate_limiter_stalls).sum();
-    let mut arenas: Vec<RecordArena> = outs.into_iter().map(|o| o.arena).collect();
-    arenas.push(late.arena);
-    let records = RecordArena::merge(arenas);
+    let mut rtts = Histogram::new(&metrics::RTT_BUCKETS_MS);
+    let mut accs = Vec::with_capacity(outs.len());
+    for o in outs {
+        rtts.merge(&o.sink.rtts);
+        accs.push(o.sink.acc);
+    }
 
-    Ok(finalize_outcome(
+    let report = seal_report(
         spec,
         n_workers,
         span_ms,
         abort,
         &tracer,
         RunTotals {
-            records,
             probes_sent,
             failed_workers,
             worker_health,
@@ -1141,8 +1242,11 @@ pub fn run_measurement_abortable(
             shard_report,
             orders_streamed,
             rate_limiter_stalls,
+            records_collected,
+            rtts,
         },
-    ))
+    );
+    Ok((accs, report))
 }
 
 // ---------------------------------------------------------------------------
@@ -1183,7 +1287,8 @@ pub fn run_measurement_threaded_abortable(
     let mut telemetry = base_telemetry(spec, n_workers, span_ms);
 
     if spec.targets.is_empty() {
-        return Ok(empty_hitlist_outcome(spec, n_workers, telemetry, &tracer));
+        let report = empty_hitlist_report(spec, n_workers, telemetry, &tracer);
+        return Ok(report.into_outcome(spec, Vec::new()));
     }
 
     let key = AuthKey::derive(world.cfg.seed ^ u64::from(spec.id));
@@ -1210,6 +1315,7 @@ pub fn run_measurement_threaded_abortable(
     let (out_tx, out_rx) = channel::unbounded::<WorkerOut>();
 
     let mut records = Vec::new();
+    let mut rtts = Histogram::new(&metrics::RTT_BUCKETS_MS);
     let mut probes_sent = 0u64;
     let mut failed_workers = Vec::new();
     let mut worker_health: Vec<WorkerHealth> = Vec::with_capacity(n_workers);
@@ -1396,6 +1502,9 @@ pub fn run_measurement_threaded_abortable(
         for msg in out_rx.iter() {
             match msg {
                 WorkerOut::Records(batch) => {
+                    for rtt in batch.iter().filter_map(ProbeRecord::rtt_ms) {
+                        rtts.observe(rtt);
+                    }
                     records.extend(batch);
                     if spec
                         .faults
@@ -1457,14 +1566,13 @@ pub fn run_measurement_threaded_abortable(
         }
     });
 
-    Ok(finalize_outcome(
+    let report = seal_report(
         spec,
         n_workers,
         span_ms,
         abort,
         &tracer,
         RunTotals {
-            records,
             probes_sent,
             failed_workers,
             worker_health,
@@ -1472,8 +1580,11 @@ pub fn run_measurement_threaded_abortable(
             shard_report: RunReport::new(),
             orders_streamed: orders_streamed.get(),
             rate_limiter_stalls: order_stalls.get(),
+            records_collected: records.len() as u64,
+            rtts,
         },
-    ))
+    );
+    Ok(report.into_outcome(spec, records))
 }
 
 /// Result of a prechecked measurement (§6 future work: "check

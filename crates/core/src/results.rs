@@ -8,6 +8,8 @@ use laces_obs::{Degraded, DegradedReason, RunReport};
 use laces_packet::{PrefixKey, Protocol};
 use serde::{Deserialize, Serialize};
 
+use crate::classify::AnycastClassification;
+
 /// One captured, validated reply.
 ///
 /// This is what a Worker streams to the Orchestrator the moment a reply is
@@ -41,21 +43,43 @@ impl ProbeRecord {
     }
 }
 
-/// Shard-local accumulation of in-flight [`ProbeRecord`]s.
+/// Where the sharded stream's capture step folds each validated reply.
+///
+/// Every shard owns one accumulator for its hitlist slice and pushes into
+/// it without locks; the Orchestrator combines the shards' accumulators
+/// once at seal time. The record path keeps each reply ([`RecordArena`]);
+/// the census path folds it into a per-target table
+/// (`classify::ClassTable`) and never builds a record vector.
+pub(crate) trait Accumulate: Send {
+    /// Fold the reply `record` from the target at hitlist position `pos`.
+    fn fold(&mut self, pos: usize, record: ProbeRecord);
+}
+
+/// Shard-local accumulation of in-flight [`ProbeRecord`]s: the record
+/// path's accumulator, for consumers that need every reply (catchment
+/// mapping, canaries, baselines, the live monitor, tests and the
+/// benchmark's replay). The census day does not use it: its passes
+/// classify at capture instead (`orchestrator::run_classified`).
 ///
 /// Each shard of the sharded stream pushes the records its deliveries
 /// produce into its own arena — no locks, no per-record channel sends, no
 /// cross-shard sharing — and the Orchestrator merges all arenas exactly
 /// once at seal time into the canonical record vector. The merge
-/// pre-reserves the exact total, so a census-day's millions of in-flight
-/// records cost one allocation per arena growth plus one final buffer
-/// instead of per-record channel traffic.
+/// pre-reserves the exact total, so a run costs one allocation per arena
+/// growth plus one final buffer instead of per-record channel traffic.
 ///
 /// The canonical output is a *sorted multiset*, so neither the shard
 /// order of the merge nor the within-arena order can show in the outcome.
 #[derive(Debug, Default)]
 pub struct RecordArena {
     records: Vec<ProbeRecord>,
+}
+
+impl Accumulate for RecordArena {
+    #[inline]
+    fn fold(&mut self, _pos: usize, record: ProbeRecord) {
+        self.records.push(record);
+    }
 }
 
 impl RecordArena {
@@ -251,6 +275,29 @@ impl Degraded for MeasurementOutcome {
     fn degraded_reasons(&self) -> &[DegradedReason] {
         self.telemetry.degraded_reasons()
     }
+}
+
+/// A measurement classified at capture
+/// ([`run_classified`](crate::orchestrator::run_classified)): the
+/// per-prefix verdicts plus what a [`MeasurementOutcome`] reports about
+/// the run itself. There are no per-reply records; this path never builds
+/// them.
+#[derive(Debug, Clone)]
+pub struct ClassifiedOutcome {
+    /// Equal to [`AnycastClassification::from_outcome`] of the same spec's
+    /// [`run_measurement`](crate::orchestrator::run_measurement) outcome.
+    pub classification: AnycastClassification,
+    /// Total probes transmitted across workers.
+    pub probes_sent: u64,
+    /// Terminal state of every worker, sorted by worker id.
+    pub worker_health: Vec<WorkerHealth>,
+    /// Byte-identical to the record path's
+    /// [`MeasurementOutcome::telemetry`].
+    pub telemetry: RunReport,
+    /// Byte-identical to the record path's
+    /// [`MeasurementOutcome::trace_report`]. Classification events go to
+    /// the classify tracer the caller passed in.
+    pub trace_report: laces_trace::TraceReport,
 }
 
 #[cfg(test)]

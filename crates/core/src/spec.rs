@@ -82,7 +82,7 @@ pub struct MeasurementSpec {
     pub batch_size: usize,
     /// Shard count for the hitlist stream: the Orchestrator splits the
     /// hitlist into this many contiguous slices, each streamed by its own
-    /// shard with its own per-worker probe sessions and record arena.
+    /// shard with its own per-worker probe sessions and capture accumulator.
     /// Purely a throughput knob — shard assignment is a pure function of
     /// the global target index, fault plans count orders in canonical
     /// (global-index) order, and records are merged into one canonical

@@ -6,19 +6,25 @@
 //! bit-identical for any batch size, with and without an active fault
 //! plan. These tests pin that claim on the paper-topology world across
 //! batch sizes {1, 16, 256} (partial tail batches, single-order batches,
-//! and batches larger than the per-worker record-flush threshold).
+//! and batches larger than the per-worker record-flush threshold). Every
+//! spec also runs through the census's classify-at-capture entry, which
+//! must report the same pass (`common::run_both`), on the v4 hitlist, a
+//! CHAOS hitlist and a hitlist that repeats prefixes.
+
+mod common;
 
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
 
+use common::{chaos_hitlist, repeated_prefix_hitlist, run_both};
 use laces_core::classify::AnycastClassification;
 use laces_core::error::MeasurementError;
 use laces_core::fault::FaultPlan;
-use laces_core::orchestrator::run_measurement;
 use laces_core::results::MeasurementOutcome;
 use laces_core::spec::MeasurementSpec;
 use laces_netsim::{World, WorldConfig};
-use laces_packet::PrefixKey;
+use laces_packet::{PrefixKey, Protocol};
+use laces_trace::TraceConfig;
 
 /// Shared paper-topology world (32-site production platform, reduced
 /// target mass) — generated once for the whole test binary.
@@ -50,10 +56,25 @@ fn spec_with(
     faults: FaultPlan,
     batch_size: usize,
 ) -> MeasurementSpec {
+    spec_for(world, id, Protocol::Icmp, targets, faults, batch_size)
+}
+
+/// Traced, so the fused entry's trace sections are compared too; tracing
+/// observes the run and changes none of its outputs.
+fn spec_for(
+    world: &World,
+    id: u32,
+    protocol: Protocol,
+    targets: Arc<Vec<IpAddr>>,
+    faults: FaultPlan,
+    batch_size: usize,
+) -> MeasurementSpec {
     MeasurementSpec::builder(id, world.std_platforms.production)
+        .protocol(protocol)
         .targets(targets)
         .faults(faults)
         .batch_size(batch_size)
+        .trace(TraceConfig::all(0xBA7C))
         .build(world)
         .expect("valid spec")
 }
@@ -106,14 +127,13 @@ fn assert_no_midstream_flush(outcome: &MeasurementOutcome) {
 fn outputs_are_bit_identical_across_batch_sizes() {
     let w = world();
     let targets = hitlist(w, 120);
-    let baseline = run_measurement(
+    let baseline = run_both(
         w,
         &spec_with(w, 41_001, Arc::clone(&targets), FaultPlan::none(), 1),
-    )
-    .expect("valid spec");
+    );
     assert!(!baseline.records.is_empty(), "workload must be non-trivial");
     for batch_size in [16usize, 256] {
-        let outcome = run_measurement(
+        let outcome = run_both(
             w,
             &spec_with(
                 w,
@@ -122,8 +142,7 @@ fn outputs_are_bit_identical_across_batch_sizes() {
                 FaultPlan::none(),
                 batch_size,
             ),
-        )
-        .expect("valid spec");
+        );
         assert_outputs_equal(&baseline, &outcome, &format!("batch_size={batch_size}"));
     }
 }
@@ -139,19 +158,17 @@ fn faulted_outputs_are_bit_identical_across_batch_sizes() {
             .and_crash(3, 37)
             .and_fabric(0.05, 0.03)
     };
-    let baseline = run_measurement(w, &spec_with(w, 41_002, Arc::clone(&targets), plan(), 1))
-        .expect("valid spec");
+    let baseline = run_both(w, &spec_with(w, 41_002, Arc::clone(&targets), plan(), 1));
     assert_eq!(baseline.failed_workers, vec![3], "crash plan must fire");
     assert!(
         baseline.telemetry.counter("fabric.dropped") > 0,
         "fabric drop must fire"
     );
     for batch_size in [16usize, 256] {
-        let outcome = run_measurement(
+        let outcome = run_both(
             w,
             &spec_with(w, 41_002, Arc::clone(&targets), plan(), batch_size),
-        )
-        .expect("valid spec");
+        );
         assert_outputs_equal(
             &baseline,
             &outcome,
@@ -171,18 +188,16 @@ fn midstream_abort_is_bit_identical_across_batch_sizes() {
     // Learn the run's total record count, then schedule the abort exactly
     // on the final record: the abort path executes (counter + degraded
     // reason) but deterministically cuts nothing.
-    let reference = run_measurement(w, &spec_with(w, 41_003, Arc::clone(&targets), plan(), 1))
-        .expect("valid spec");
+    let reference = run_both(w, &spec_with(w, 41_003, Arc::clone(&targets), plan(), 1));
     assert_no_midstream_flush(&reference);
     let total = reference.records.len();
     assert!(total > 0, "workload must be non-trivial");
 
     let abort_plan = || plan().and_abort_after(total);
-    let baseline = run_measurement(
+    let baseline = run_both(
         w,
         &spec_with(w, 41_003, Arc::clone(&targets), abort_plan(), 1),
-    )
-    .expect("valid spec");
+    );
     assert_eq!(baseline.telemetry.counter("orchestrator.aborts"), 1);
     assert!(baseline.is_degraded(), "abort must degrade the run");
     assert_eq!(
@@ -190,16 +205,102 @@ fn midstream_abort_is_bit_identical_across_batch_sizes() {
         "abort on the final record must cut nothing"
     );
     for batch_size in [16usize, 256] {
-        let outcome = run_measurement(
+        let outcome = run_both(
             w,
             &spec_with(w, 41_003, Arc::clone(&targets), abort_plan(), batch_size),
-        )
-        .expect("valid spec");
+        );
         assert_outputs_equal(
             &baseline,
             &outcome,
             &format!("aborted batch_size={batch_size}"),
         );
+    }
+}
+
+#[test]
+fn seal_rejection_is_bit_identical_across_batch_sizes() {
+    let w = world();
+    let targets = hitlist(w, 120);
+    let plan = || FaultPlan::with_seed(0x5EA1).and_reject_seal(5);
+    let baseline = run_both(w, &spec_with(w, 41_005, Arc::clone(&targets), plan(), 1));
+    assert_eq!(baseline.failed_workers, vec![5], "seal rejection must fire");
+    for batch_size in [16usize, 256] {
+        let outcome = run_both(
+            w,
+            &spec_with(w, 41_005, Arc::clone(&targets), plan(), batch_size),
+        );
+        assert_outputs_equal(
+            &baseline,
+            &outcome,
+            &format!("sealed batch_size={batch_size}"),
+        );
+    }
+}
+
+#[test]
+fn surviving_crash_schedule_is_bit_identical_across_batch_sizes() {
+    let w = world();
+    let targets = hitlist(w, 120);
+    // Worker 7 is crash-scheduled past the end of the stream: its captures
+    // are deferred during streaming and drained at seal.
+    let plan = || {
+        FaultPlan::with_seed(0xD1A5)
+            .and_crash(7, 10_000)
+            .and_fabric(0.05, 0.03)
+    };
+    let baseline = run_both(w, &spec_with(w, 41_006, Arc::clone(&targets), plan(), 1));
+    assert!(baseline.failed_workers.is_empty(), "worker 7 must survive");
+    assert!(
+        baseline.telemetry.counter("worker.007.records_streamed") > 0,
+        "the surviving worker's deferred captures must be drained"
+    );
+    for batch_size in [16usize, 256] {
+        let outcome = run_both(
+            w,
+            &spec_with(w, 41_006, Arc::clone(&targets), plan(), batch_size),
+        );
+        assert_outputs_equal(
+            &baseline,
+            &outcome,
+            &format!("survivor batch_size={batch_size}"),
+        );
+    }
+}
+
+#[test]
+fn chaos_and_repeated_prefix_hitlists_are_bit_identical_across_batch_sizes() {
+    let w = world();
+    let v4 = hitlist(w, 80);
+    let inputs = [
+        ("chaos", Protocol::Chaos, chaos_hitlist(w, 60)),
+        ("repeated", Protocol::Icmp, repeated_prefix_hitlist(&v4, 40)),
+    ];
+    for (id, (name, protocol, targets)) in (41_007..).zip(inputs) {
+        let plan = || FaultPlan::with_seed(0xC4A0).and_fabric(0.05, 0.03);
+        let spec = |batch| spec_for(w, id, protocol, Arc::clone(&targets), plan(), batch);
+        let baseline = run_both(w, &spec(1));
+        let class = AnycastClassification::from_outcome(&baseline);
+        match protocol {
+            Protocol::Chaos => assert!(
+                class
+                    .observations
+                    .values()
+                    .any(|o| !o.chaos_values.is_empty()),
+                "{name}: some reply must disclose a CHAOS identity"
+            ),
+            _ => assert!(
+                class.observations.values().any(|o| o.n_responses > 48),
+                "{name}: some prefix must answer at more than one position"
+            ),
+        }
+        for batch_size in [16usize, 256] {
+            let outcome = run_both(w, &spec(batch_size));
+            assert_outputs_equal(
+                &baseline,
+                &outcome,
+                &format!("{name} batch_size={batch_size}"),
+            );
+        }
     }
 }
 

@@ -9,19 +9,25 @@
 //! paper-topology world across shard counts {1, 4, 16} (single inline
 //! shard, even split, and more shards than some slices have targets),
 //! mirroring `batch_invariance.rs` — plus the trace export, which batch
-//! invariance does not pin.
+//! invariance does not pin. Every spec also runs through the census's
+//! classify-at-capture entry, which must report the same pass
+//! (`common::run_both`), on the v4 hitlist, a CHAOS hitlist and a hitlist
+//! that repeats prefixes.
+
+mod common;
 
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
 
+use common::{chaos_hitlist, repeated_prefix_hitlist, run_both};
 use laces_core::classify::AnycastClassification;
 use laces_core::error::MeasurementError;
 use laces_core::fault::FaultPlan;
-use laces_core::orchestrator::{run_measurement, run_measurement_threaded};
+use laces_core::orchestrator::run_measurement_threaded;
 use laces_core::results::MeasurementOutcome;
 use laces_core::spec::MeasurementSpec;
 use laces_netsim::{World, WorldConfig};
-use laces_packet::PrefixKey;
+use laces_packet::{PrefixKey, Protocol};
 use laces_trace::TraceConfig;
 
 /// Shared paper-topology world (32-site production platform, reduced
@@ -51,7 +57,19 @@ fn spec_with(
     faults: FaultPlan,
     shards: usize,
 ) -> MeasurementSpec {
+    spec_for(world, id, Protocol::Icmp, targets, faults, shards)
+}
+
+fn spec_for(
+    world: &World,
+    id: u32,
+    protocol: Protocol,
+    targets: Arc<Vec<IpAddr>>,
+    faults: FaultPlan,
+    shards: usize,
+) -> MeasurementSpec {
     MeasurementSpec::builder(id, world.std_platforms.production)
+        .protocol(protocol)
         .targets(targets)
         .faults(faults)
         .trace(TraceConfig::all(0x5A17))
@@ -97,22 +115,20 @@ fn assert_outputs_equal(a: &MeasurementOutcome, b: &MeasurementOutcome, label: &
 fn outputs_are_byte_identical_across_shard_counts() {
     let w = world();
     let targets = hitlist(w, 120);
-    let baseline = run_measurement(
+    let baseline = run_both(
         w,
         &spec_with(w, 42_001, Arc::clone(&targets), FaultPlan::none(), 1),
-    )
-    .expect("valid spec");
+    );
     assert!(!baseline.records.is_empty(), "workload must be non-trivial");
     assert!(
         !baseline.trace_report.to_jsonl().is_empty(),
         "tracing must be live or the trace comparison is vacuous"
     );
     for shards in [4usize, 16] {
-        let outcome = run_measurement(
+        let outcome = run_both(
             w,
             &spec_with(w, 42_001, Arc::clone(&targets), FaultPlan::none(), shards),
-        )
-        .expect("valid spec");
+        );
         assert_outputs_equal(&baseline, &outcome, &format!("shards={shards}"));
     }
 }
@@ -122,7 +138,7 @@ fn sharded_pipeline_matches_the_threaded_reference() {
     let w = world();
     let targets = hitlist(w, 120);
     let spec = spec_with(w, 42_001, Arc::clone(&targets), FaultPlan::none(), 4);
-    let sharded = run_measurement(w, &spec).expect("valid spec");
+    let sharded = run_both(w, &spec);
     let threaded = run_measurement_threaded(w, &spec).expect("valid spec");
     assert_outputs_equal(&threaded, &sharded, "threaded-vs-sharded");
 }
@@ -139,19 +155,17 @@ fn faulted_outputs_are_byte_identical_across_shard_counts() {
             .and_crash(3, 37)
             .and_fabric(0.05, 0.03)
     };
-    let baseline = run_measurement(w, &spec_with(w, 42_002, Arc::clone(&targets), plan(), 1))
-        .expect("valid spec");
+    let baseline = run_both(w, &spec_with(w, 42_002, Arc::clone(&targets), plan(), 1));
     assert_eq!(baseline.failed_workers, vec![3], "crash plan must fire");
     assert!(
         baseline.telemetry.counter("fabric.dropped") > 0,
         "fabric drop must fire"
     );
     for shards in [4usize, 16] {
-        let outcome = run_measurement(
+        let outcome = run_both(
             w,
             &spec_with(w, 42_002, Arc::clone(&targets), plan(), shards),
-        )
-        .expect("valid spec");
+        );
         assert_outputs_equal(&baseline, &outcome, &format!("faulted shards={shards}"));
     }
 }
@@ -165,17 +179,15 @@ fn midstream_abort_is_byte_identical_across_shard_counts() {
     // on the final record: the abort path executes (counter + degraded
     // reason) but deterministically cuts nothing, so the outcome stays
     // comparable across shard counts.
-    let reference = run_measurement(w, &spec_with(w, 42_003, Arc::clone(&targets), plan(), 1))
-        .expect("valid spec");
+    let reference = run_both(w, &spec_with(w, 42_003, Arc::clone(&targets), plan(), 1));
     let total = reference.records.len();
     assert!(total > 0, "workload must be non-trivial");
 
     let abort_plan = || plan().and_abort_after(total);
-    let baseline = run_measurement(
+    let baseline = run_both(
         w,
         &spec_with(w, 42_003, Arc::clone(&targets), abort_plan(), 1),
-    )
-    .expect("valid spec");
+    );
     assert_eq!(baseline.telemetry.counter("orchestrator.aborts"), 1);
     assert!(baseline.is_degraded(), "abort must degrade the run");
     assert_eq!(
@@ -183,12 +195,86 @@ fn midstream_abort_is_byte_identical_across_shard_counts() {
         "abort on the final record must cut nothing"
     );
     for shards in [4usize, 16] {
-        let outcome = run_measurement(
+        let outcome = run_both(
             w,
             &spec_with(w, 42_003, Arc::clone(&targets), abort_plan(), shards),
-        )
-        .expect("valid spec");
+        );
         assert_outputs_equal(&baseline, &outcome, &format!("aborted shards={shards}"));
+    }
+}
+
+#[test]
+fn seal_rejection_is_byte_identical_across_shard_counts() {
+    let w = world();
+    let targets = hitlist(w, 120);
+    let plan = || FaultPlan::with_seed(0x5EA1).and_reject_seal(5);
+    let baseline = run_both(w, &spec_with(w, 42_007, Arc::clone(&targets), plan(), 1));
+    assert_eq!(baseline.failed_workers, vec![5], "seal rejection must fire");
+    for shards in [4usize, 16] {
+        let outcome = run_both(
+            w,
+            &spec_with(w, 42_007, Arc::clone(&targets), plan(), shards),
+        );
+        assert_outputs_equal(&baseline, &outcome, &format!("sealed shards={shards}"));
+    }
+}
+
+#[test]
+fn surviving_crash_schedule_is_byte_identical_across_shard_counts() {
+    let w = world();
+    let targets = hitlist(w, 120);
+    // Worker 7 is crash-scheduled past the end of the stream: its captures
+    // are deferred during streaming and drained at seal.
+    let plan = || {
+        FaultPlan::with_seed(0xD1A5)
+            .and_crash(7, 10_000)
+            .and_fabric(0.05, 0.03)
+    };
+    let baseline = run_both(w, &spec_with(w, 42_008, Arc::clone(&targets), plan(), 1));
+    assert!(baseline.failed_workers.is_empty(), "worker 7 must survive");
+    assert!(
+        baseline.telemetry.counter("worker.007.records_streamed") > 0,
+        "the surviving worker's deferred captures must be drained"
+    );
+    for shards in [4usize, 16] {
+        let outcome = run_both(
+            w,
+            &spec_with(w, 42_008, Arc::clone(&targets), plan(), shards),
+        );
+        assert_outputs_equal(&baseline, &outcome, &format!("survivor shards={shards}"));
+    }
+}
+
+#[test]
+fn chaos_and_repeated_prefix_hitlists_are_byte_identical_across_shard_counts() {
+    let w = world();
+    let v4 = hitlist(w, 80);
+    let inputs = [
+        ("chaos", Protocol::Chaos, chaos_hitlist(w, 60)),
+        ("repeated", Protocol::Icmp, repeated_prefix_hitlist(&v4, 40)),
+    ];
+    for (id, (name, protocol, targets)) in (42_009..).zip(inputs) {
+        let plan = || FaultPlan::with_seed(0xC4A0).and_fabric(0.05, 0.03);
+        let spec = |shards| spec_for(w, id, protocol, Arc::clone(&targets), plan(), shards);
+        let baseline = run_both(w, &spec(1));
+        let class = AnycastClassification::from_outcome(&baseline);
+        match protocol {
+            Protocol::Chaos => assert!(
+                class
+                    .observations
+                    .values()
+                    .any(|o| !o.chaos_values.is_empty()),
+                "{name}: some reply must disclose a CHAOS identity"
+            ),
+            _ => assert!(
+                class.observations.values().any(|o| o.n_responses > 48),
+                "{name}: some prefix must answer at more than one position"
+            ),
+        }
+        for shards in [4usize, 16] {
+            let outcome = run_both(w, &spec(shards));
+            assert_outputs_equal(&baseline, &outcome, &format!("{name} shards={shards}"));
+        }
     }
 }
 
@@ -196,11 +282,10 @@ fn midstream_abort_is_byte_identical_across_shard_counts() {
 fn shard_report_reflects_the_layout_without_leaking_into_telemetry() {
     let w = world();
     let targets = hitlist(w, 120);
-    let outcome = run_measurement(
+    let outcome = run_both(
         w,
         &spec_with(w, 42_004, Arc::clone(&targets), FaultPlan::none(), 4),
-    )
-    .expect("valid spec");
+    );
     assert_eq!(outcome.shard_report.gauge("orchestrator.shards"), 4);
     let stages = &outcome.shard_report.stages;
     assert_eq!(stages.len(), 1, "one parent stage for the sharded stream");

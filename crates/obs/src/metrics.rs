@@ -81,6 +81,18 @@ impl Histogram {
         self.sum += value;
     }
 
+    /// Add every observation of `other`, which must have the same bounds.
+    /// Merging commutes, so per-shard histograms combine into the same
+    /// snapshot in any order.
+    pub fn merge(&mut self, other: &Histogram) {
+        debug_assert_eq!(self.bounds, other.bounds, "merged histograms share bounds");
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+    }
+
     /// Freeze into the serializable snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -169,6 +181,27 @@ mod tests {
             b.observe(*v);
         }
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn merged_histograms_equal_one_over_the_union() {
+        let (left, right) = ([3u64, 77, 9], [200u64, 41, 5, 5000]);
+        let mut whole = Histogram::new(&RTT_BUCKETS_MS);
+        let mut a = Histogram::new(&RTT_BUCKETS_MS);
+        let mut b = Histogram::new(&RTT_BUCKETS_MS);
+        for v in left {
+            whole.observe(v);
+            a.observe(v);
+        }
+        for v in right {
+            whole.observe(v);
+            b.observe(v);
+        }
+        let mut ba = b.clone();
+        ba.merge(&a);
+        a.merge(&b);
+        assert_eq!(a.snapshot(), whole.snapshot());
+        assert_eq!(ba.snapshot(), whole.snapshot());
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl std::fmt::Display for Protocol {
 }
 
 /// IP version of a measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum IpVersion {
     /// IPv4 (census granularity /24).
     V4,
