@@ -23,23 +23,18 @@ pub enum Scale {
     Tiny,
     /// Tiny topology, larger population.
     Mid,
-    /// Tiny topology, census-day-scale target population: the sharding
-    /// benchmark runs a full synthetic-hitlist census day end-to-end at
-    /// this scale (opt-in — minutes, not seconds).
-    Huge,
     /// The paper-calibrated world (default for `run_all`).
     Paper,
 }
 
 impl Scale {
-    /// Read from `LACES_SCALE` (tiny|mid|huge|paper) or argv; defaults to
+    /// Read from `LACES_SCALE` (tiny|mid|paper) or argv; defaults to
     /// Paper.
     pub fn from_env_or_args(args: &[String]) -> Scale {
         let v = std::env::var("LACES_SCALE").ok();
         let pick = |s: &str| match s {
             "tiny" => Some(Scale::Tiny),
             "mid" => Some(Scale::Mid),
-            "huge" => Some(Scale::Huge),
             "paper" => Some(Scale::Paper),
             _ => None,
         };
@@ -54,17 +49,6 @@ impl Scale {
         match self {
             Scale::Tiny => WorldConfig::tiny(),
             Scale::Mid => WorldConfig::paper_topology_tiny_targets(),
-            Scale::Huge => {
-                // Mid's topology with ~5x the target mass: large enough
-                // that a census day streams a six-figure hitlist through
-                // every stage, small enough to finish in minutes.
-                let mut cfg = WorldConfig::paper_topology_tiny_targets();
-                cfg.unicast_24s = 120_000;
-                cfg.unresponsive_24s = 25_000;
-                cfg.global_unicast_24s = 3_000;
-                cfg.jittery_24s = 800;
-                cfg
-            }
             Scale::Paper => WorldConfig::paper(),
         }
     }

@@ -18,25 +18,11 @@
 pub mod artifacts;
 pub mod extras;
 pub mod figures;
-pub mod gcd;
-pub mod health;
-pub mod perf;
-pub mod probing;
-pub mod query;
 pub mod report;
-pub mod sharding;
 pub mod tables;
-pub mod tracing;
 
 pub use artifacts::{Artifacts, Scale};
-pub use gcd::{run_gcd_bench, GcdBench};
-pub use health::{run_health_bench, run_health_bench_at, HealthBench};
-pub use perf::{run_perf, PerfReport};
-pub use probing::{run_probing_bench, ProbingBench};
-pub use query::{run_query_bench, run_query_bench_at, QueryBench};
 pub use report::Report;
-pub use sharding::{run_sharding_bench, ShardingBench};
-pub use tracing::{run_tracing_bench, TracingBench};
 
 /// An experiment: id and the function that produces its report.
 pub type Experiment = (&'static str, &'static str, fn(&Artifacts) -> Report);

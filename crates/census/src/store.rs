@@ -461,15 +461,6 @@ impl CensusStore {
         Ok(days)
     }
 
-    /// Load every stored day, in order.
-    #[deprecated(
-        note = "deserialises the whole corpus; open a handle with `CensusStore::query()` \
-                (laces_query::QueryService) instead"
-    )]
-    pub fn load_all(&self) -> Result<Vec<DailyCensus>, StoreError> {
-        self.days()?.into_iter().map(|d| self.load(d)).collect()
-    }
-
     /// Directory backing the store.
     pub fn path(&self) -> &Path {
         &self.dir
@@ -485,8 +476,7 @@ impl AsRef<Path> for CensusStore {
 /// Query interface over a loaded census run.
 ///
 /// Deprecated: this is the eager pattern — every queried day must first be
-/// deserialised in full (typically via the equally deprecated
-/// [`CensusStore::load_all`]). The indexed
+/// deserialised in full (one [`CensusStore::load`] per day). The indexed
 /// [`QueryService`](laces_query::QueryService) handle answers the same
 /// queries (and more) byte-identically from the on-disk sidecars without
 /// loading days; it remains here as the reference implementation the
@@ -734,9 +724,9 @@ mod tests {
             store.save(&sample_census(day, 2))?;
         }
         assert_eq!(store.days()?, vec![1, 3, 5]);
-        #[allow(deprecated)]
-        let all = store.load_all()?;
-        assert_eq!(all.iter().map(|c| c.day).collect::<Vec<_>>(), vec![1, 3, 5]);
+        for day in store.days()? {
+            assert_eq!(store.load(day)?.day, day);
+        }
         Ok(())
     }
 

@@ -151,13 +151,6 @@ impl std::fmt::Display for MeasurementError {
 
 impl std::error::Error for MeasurementError {}
 
-#[allow(deprecated)]
-impl From<crate::orchestrator::ReservedIdError> for MeasurementError {
-    fn from(e: crate::orchestrator::ReservedIdError) -> Self {
-        MeasurementError::ReservedId { id: e.0 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,13 +172,5 @@ mod tests {
             n_workers: 4,
         };
         assert!(e.to_string().contains("worker 9"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn reserved_id_error_folds_in() {
-        let old = crate::orchestrator::ReservedIdError(0x8000_0007);
-        let new: MeasurementError = old.into();
-        assert_eq!(new, MeasurementError::ReservedId { id: 0x8000_0007 });
     }
 }

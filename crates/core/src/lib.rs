@@ -66,11 +66,9 @@ pub use classify::{AnycastClassification, Class};
 pub use error::MeasurementError;
 pub use fault::{FaultPlan, OrderChannelFault, WorkerCrash};
 pub use laces_obs::{Degraded, DegradedReason, RunReport};
-#[allow(deprecated)]
-pub use orchestrator::ReservedIdError;
 pub use orchestrator::{
     run_classified, run_measurement, run_measurement_abortable, run_measurement_threaded,
-    run_measurement_threaded_abortable, run_with_precheck, AbortHandle, PRECHECK_ID_BIT,
+    run_with_precheck, AbortHandle, PRECHECK_ID_BIT,
 };
 pub use results::{
     ClassifiedOutcome, MeasurementOutcome, ProbeRecord, WorkerHealth, WorkerStatus, WorkerTelemetry,

@@ -1258,8 +1258,8 @@ fn run_sharded<A: Accumulate>(
 /// result stream — the process-shaped concurrency structure of the real
 /// system. Produces outcomes bit-identical to [`run_measurement`] for
 /// abort-free fault plans (modulo [`MeasurementOutcome::shard_report`],
-/// which it leaves empty); kept as the semantic reference and the
-/// benchmark baseline the sharded pipeline is measured against.
+/// which it leaves empty); kept as the semantic reference the sharded
+/// pipeline is tested against.
 ///
 /// # Errors
 ///
@@ -1268,19 +1268,7 @@ pub fn run_measurement_threaded(
     world: &Arc<World>,
     spec: &MeasurementSpec,
 ) -> Result<MeasurementOutcome, MeasurementError> {
-    run_measurement_threaded_abortable(world, spec, &AbortHandle::new())
-}
-
-/// [`run_measurement_threaded`] with a cancellation handle.
-///
-/// # Errors
-///
-/// As [`run_measurement`].
-pub fn run_measurement_threaded_abortable(
-    world: &Arc<World>,
-    spec: &MeasurementSpec,
-    abort: &AbortHandle,
-) -> Result<MeasurementOutcome, MeasurementError> {
+    let abort = &AbortHandle::new();
     let n_workers = validated_workers(world, spec)?;
     let span_ms = spec.span_ms(n_workers);
     let tracer = Tracer::new(spec.trace);
@@ -1607,33 +1595,6 @@ impl PrecheckedOutcome {
         self.precheck_probes + self.outcome.probes_sent
     }
 }
-
-/// A measurement id that lies in the id space reserved for precheck
-/// passes (bit [`PRECHECK_ID_BIT`] set) and therefore cannot be prechecked:
-/// its derived precheck id would collide with its own — or another
-/// measurement's — precheck, and two measurements sharing an id would
-/// accept each other's replies.
-#[deprecated(
-    since = "0.2.0",
-    note = "folded into MeasurementError::ReservedId; match on that instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReservedIdError(pub u32);
-
-#[allow(deprecated)]
-impl std::fmt::Display for ReservedIdError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "measurement id {:#010x} lies in the reserved precheck id space \
-             (ids must be below {PRECHECK_ID_BIT:#010x})",
-            self.0
-        )
-    }
-}
-
-#[allow(deprecated)]
-impl std::error::Error for ReservedIdError {}
 
 /// Run a measurement with a single-worker responsiveness precheck: worker
 /// `precheck_worker` probes the full hitlist alone (all workers capture);

@@ -20,10 +20,10 @@ use crate::orchestrator::PRECHECK_ID_BIT;
 
 /// Default probe-batch size: how many orders the Orchestrator groups into
 /// one channel send toward each worker, and how many probes a worker hands
-/// to the wire per `send_probe_batch` call. Tuned by the probing bench
-/// (BENCH_pr4.json): 256 amortizes channel wakeups and fabric flushes into
-/// large frames while the in-flight window per worker stays modest; larger
-/// sizes measured flat to slightly worse.
+/// to the wire per `send_probe_batch` call. Tuned when batching landed:
+/// 256 amortizes channel wakeups and fabric flushes into large frames
+/// while the in-flight window per worker stays modest; larger sizes
+/// measured flat to slightly worse.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
 /// Cap on the default shard count: beyond ~16 shards the per-shard slices

@@ -12,7 +12,9 @@
 //! invariance does not pin. Every spec also runs through the census's
 //! classify-at-capture entry, which must report the same pass
 //! (`common::run_both`), on the v4 hitlist, a CHAOS hitlist and a hitlist
-//! that repeats prefixes.
+//! that repeats prefixes. Two references anchor the sharded pipeline:
+//! the live threaded orchestrator, and the frozen answer of the
+//! pre-batching scalar pipeline on the full v4 hitlist.
 
 mod common;
 
@@ -23,7 +25,7 @@ use common::{chaos_hitlist, repeated_prefix_hitlist, run_both};
 use laces_core::classify::AnycastClassification;
 use laces_core::error::MeasurementError;
 use laces_core::fault::FaultPlan;
-use laces_core::orchestrator::run_measurement_threaded;
+use laces_core::orchestrator::{run_measurement, run_measurement_threaded};
 use laces_core::results::MeasurementOutcome;
 use laces_core::spec::MeasurementSpec;
 use laces_netsim::{World, WorldConfig};
@@ -141,6 +143,63 @@ fn sharded_pipeline_matches_the_threaded_reference() {
     let sharded = run_both(w, &spec);
     let threaded = run_measurement_threaded(w, &spec).expect("valid spec");
     assert_outputs_equal(&threaded, &sharded, "threaded-vs-sharded");
+}
+
+/// FNV-1a over a run's deterministic outputs: probes sent, replies
+/// delivered, the record count, then one formatted line per record in
+/// canonical order.
+fn pipeline_fingerprint(outcome: &MeasurementOutcome) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    eat(&outcome.probes_sent.to_le_bytes());
+    eat(&outcome
+        .telemetry
+        .counter("fabric.replies_delivered")
+        .to_le_bytes());
+    eat(&(outcome.records.len() as u64).to_le_bytes());
+    for r in &outcome.records {
+        let line = format!(
+            "{:?}|{:?}|{}|{:?}|{:?}|{}|{:?}",
+            r.prefix,
+            r.protocol,
+            r.rx_worker,
+            r.tx_worker,
+            r.tx_time_ms,
+            r.rx_time_ms,
+            r.chaos_identity
+        );
+        eat(line.as_bytes());
+    }
+    h
+}
+
+/// The pre-batching scalar pipeline (one `send_probe_observed` and one
+/// channel send per probe, one result send per record), frozen as its
+/// answer on the v4 hitlist: it sent these probes, kept these records and
+/// fingerprinted to this value. The batched, sharded pipeline must
+/// reproduce all three.
+#[test]
+fn pipeline_reproduces_the_frozen_scalar_pipeline_answer() {
+    let w = world();
+    let targets = laces_hitlist::build_v4(w).addresses();
+    assert_eq!(targets.len(), 24_818, "the frozen workload's hitlist");
+    let spec = MeasurementSpec::builder(30_001, w.std_platforms.production)
+        .targets(Arc::new(targets))
+        .rate_per_s(10_000)
+        .build(w)
+        .expect("valid spec");
+    let outcome = run_measurement(w, &spec).expect("valid spec");
+    assert_eq!(outcome.probes_sent, 794_176, "probes sent");
+    assert_eq!(outcome.records.len(), 598_101, "records");
+    assert_eq!(
+        pipeline_fingerprint(&outcome),
+        0x876e_c704_5331_516b,
+        "the output fingerprint moved off the scalar pipeline's"
+    );
 }
 
 #[test]

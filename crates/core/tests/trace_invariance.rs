@@ -258,4 +258,34 @@ fn tracing_is_disabled_by_default_and_off_means_empty() {
     let ex = outcome.trace_report.explain(PrefixKey::of(targets[0]));
     assert!(!ex.complete);
     assert!(ex.steps[0].contains("disabled"));
+
+    // Turning tracing on never changes the work: sampled and full traces
+    // send the same probes and collect the same records and telemetry as
+    // the untraced run, fault-free and under crash+fabric faults.
+    let targets = hitlist(w, 120);
+    for (id, faults) in [(42_006, FaultPlan::none()), (42_007, faulted_plan())] {
+        let run = |trace: TraceConfig| {
+            run_measurement(
+                w,
+                &spec_with(w, id, Arc::clone(&targets), faults.clone(), 256, trace),
+            )
+            .expect("valid spec")
+        };
+        let untraced = run(TraceConfig::default());
+        for trace in [TraceConfig::sampled(0x7ACE, 125), TraceConfig::all(0x7ACE)] {
+            let traced = run(trace);
+            let label = format!("id={id} per_mille={}", trace.sample_per_mille);
+            assert!(
+                traced.trace_report.n_events() > 0,
+                "{label}: traced nothing"
+            );
+            assert_eq!(traced.records, untraced.records, "{label}: records");
+            assert_eq!(traced.probes_sent, untraced.probes_sent, "{label}: probes");
+            assert_eq!(
+                traced.telemetry.to_jsonl(),
+                untraced.telemetry.to_jsonl(),
+                "{label}: run report"
+            );
+        }
+    }
 }

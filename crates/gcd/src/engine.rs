@@ -3,12 +3,13 @@
 //!
 //! The campaign runs at the probing pipeline's per-probe cost profile:
 //! per-chunk [`ProbeSession`]s and reusable probe buffers
-//! (`build_probe_into`), the prepared single-probe wire path
-//! (`World::send_probe_one` with attached metadata, skipping reply-byte
-//! synthesis), a campaign-scoped [`VpGeometry`] memo replacing per-target
-//! haversines, and the grid-indexed city geolocation. The pre-PR9 engine
-//! survives as [`run_campaign_reference`], and the `gcd_invariance` suite
-//! pins both engines — and every chunk count — byte-identical.
+//! (`build_probe_into`), the prepared batch wire path
+//! (`World::send_probe_batch_slotted` with attached metadata, skipping
+//! reply-byte synthesis), a campaign-scoped [`VpGeometry`] memo replacing
+//! per-target haversines, and the grid-indexed city geolocation. The
+//! original scalar engine survives as [`run_campaign_reference`], and the
+//! `gcd_invariance` suite pins both engines — and every chunk count —
+//! byte-identical.
 
 use std::collections::BTreeMap;
 use std::net::IpAddr;
@@ -275,8 +276,8 @@ pub fn run_campaign(
 /// `build_probe` through the scalar `send_probe_observed` path (per-call
 /// source/route resolution and reply-byte synthesis), per-pair haversines
 /// for every selection and overlap test, and linear city-table scans for
-/// geolocation. Byte-identical output — this is the benchmark baseline
-/// and the invariance oracle, not a fallback.
+/// geolocation. Byte-identical output — this is the invariance oracle,
+/// not a fallback.
 ///
 /// # Errors
 ///

@@ -133,8 +133,7 @@ pub fn enumerate_counted_memo(
 /// [`enumerate_counted`] at the pre-index cost profile: per-pair
 /// haversines for every overlap test and a linear scan of the city table
 /// for every geolocation. Semantically identical to the other variants —
-/// this is the benchmark baseline and the equivalence-test oracle, not a
-/// fallback.
+/// this is the equivalence-test oracle, not a fallback.
 pub fn enumerate_counted_reference(
     samples: &[RttSample],
     db: &CityDb,

@@ -503,8 +503,8 @@ impl CityDb {
     }
 
     /// Linear-scan reference for [`most_populous_in`](Self::most_populous_in):
-    /// the pre-index implementation, kept public so equivalence tests and
-    /// benchmarks can pin the grid path byte-identical to it.
+    /// the pre-index implementation, kept public so equivalence tests can
+    /// pin the grid path byte-identical to it.
     pub fn most_populous_in_linear(&self, disk: &Disk) -> Option<CityId> {
         self.cities
             .iter()

@@ -413,7 +413,7 @@ pub fn run_all(series: &[DaySeries], cfg: &DetectorConfig) -> Vec<HealthFinding>
 }
 
 /// FNV-1a over every finding's explanation plus the config seed: the
-/// determinism fingerprint benchmarks and CI assert on. Two runs with
+/// determinism fingerprint tests assert on. Two runs with
 /// the same series and config produce the same fingerprint; a config
 /// change moves it even when the finding set happens to match.
 pub fn findings_fingerprint(findings: &[HealthFinding], cfg: &DetectorConfig) -> u64 {

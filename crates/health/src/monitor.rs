@@ -18,8 +18,7 @@
 //! invariance contract, and the Prometheus exporter never renders it.
 //!
 //! Disabled monitoring ([`MonitorConfig::disabled`]) costs one branch:
-//! no ticks are planned and the log is empty — the bench suite gates
-//! the overhead at ≤5% of the undecorated run.
+//! no ticks are planned and the log is empty.
 
 use laces_core::rate::window_start_ms;
 use laces_core::{MeasurementError, MeasurementOutcome, MeasurementSpec};

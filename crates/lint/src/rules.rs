@@ -225,7 +225,7 @@ impl Rule {
         match self {
             Rule::AmbientRng | Rule::BadAllow => unreachable!("handled above"),
             // R1: library src of every crate except laces-obs (owner of
-            // time) and laces-bench (wall-clock throughput is its job).
+            // time) and laces-bench (it times the experiment suite).
             Rule::WallClock => {
                 is_lib_src(path) && !in_crate(path, "obs") && !in_crate(path, "bench")
             }
@@ -599,10 +599,10 @@ mod tests {
 
     #[test]
     fn scopes_match_the_workspace_layout() {
-        // R1 exempts obs (owner of time) and bench (measures wall-clock).
+        // R1 exempts obs (owner of time) and bench (times experiments).
         assert!(Rule::WallClock.applies_to("crates/core/src/worker.rs"));
         assert!(!Rule::WallClock.applies_to("crates/obs/src/stage.rs"));
-        assert!(!Rule::WallClock.applies_to("crates/bench/src/perf.rs"));
+        assert!(!Rule::WallClock.applies_to("crates/bench/src/artifacts.rs"));
         assert!(!Rule::WallClock.applies_to("crates/netsim/examples/scale_test.rs"));
         // R2 applies even to examples.
         assert!(Rule::AmbientRng.applies_to("examples/quickstart.rs"));

@@ -26,8 +26,8 @@
 //!    cannot change a final value;
 //! 2. histograms bucket values; bucket counts are order-independent;
 //! 3. stage durations come from [`SimClock`], never from the wall clock —
-//!    wall-clock numbers belong in bench artifacts (`BENCH_*.json`), not in
-//!    a `RunReport`;
+//!    wall-clock numbers belong in the census benchmark (`censusbench/`),
+//!    not in a `RunReport`;
 //! 4. maps are `BTreeMap`s, so serialization order is the key order.
 //!
 //! Under these rules `serde_json::to_string(&report)` is bit-identical

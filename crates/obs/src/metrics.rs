@@ -50,13 +50,6 @@ pub struct Histogram {
 /// intercontinental plus a DNS-processing tail).
 pub const RTT_BUCKETS_MS: [u64; 10] = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000];
 
-/// Buckets for probe-batch sizes (powers of two up to the orchestrator's
-/// order-queue scale). Used by the bench's probing-pipeline section to
-/// report the distribution of batch sizes a run actually issued; the
-/// measurement path itself carries no batch-size-dependent telemetry (its
-/// reports must be bit-identical across batch sizes).
-pub const BATCH_SIZE_BUCKETS: [u64; 9] = [1, 2, 4, 8, 16, 64, 256, 1024, 4096];
-
 impl Histogram {
     /// A histogram with the given ascending bucket upper bounds.
     pub fn new(bounds: &[u64]) -> Self {

@@ -60,13 +60,6 @@ impl IcmpEcho {
     }
 }
 
-/// Serialise the probe metadata into the echo payload.
-pub fn encode_payload(meta: &ProbeMeta, encoding: ProbeEncoding) -> Vec<u8> {
-    let mut p = Vec::with_capacity(PAYLOAD_LEN);
-    encode_payload_into(meta, encoding, &mut p);
-    p
-}
-
 /// Append the echo payload for `meta` to `out` (no intermediate allocation).
 pub fn encode_payload_into(meta: &ProbeMeta, encoding: ProbeEncoding, out: &mut Vec<u8>) {
     let start = out.len();

@@ -251,7 +251,8 @@ fn published_artifacts_are_invariant_across_shard_counts() {
 }
 
 /// Answers are identical regardless of cache budget, open order, or
-/// day-visit order — the cache is an optimisation, never a semantic.
+/// day-visit order — the cache is an optimisation, never a semantic —
+/// and the cache holds index sections only, never day-file bytes.
 #[test]
 fn answers_are_invariant_under_cache_budget_and_visit_order() {
     let w = world();
@@ -279,6 +280,31 @@ fn answers_are_invariant_under_cache_budget_and_visit_order() {
         qs.summary(c.day).unwrap();
         reference.push(qs.point(c.day, probes[0]).unwrap());
     }
+
+    // Day files never enter the cache: record fetches read the JSONL but
+    // leave the resident bytes unchanged, which stay within the index mass.
+    let resident = qs.telemetry().gauge("query.resident_bytes");
+    for c in censuses.iter() {
+        for p in &probes {
+            qs.record_json(c.day, *p).unwrap();
+        }
+    }
+    assert!(qs.telemetry().counter("query.record_bytes_read") > 0);
+    assert_eq!(
+        qs.telemetry().gauge("query.resident_bytes"),
+        resident,
+        "record fetches entered the cache"
+    );
+    let index_bytes: u64 = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "idx"))
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .sum();
+    assert!(
+        resident <= index_bytes,
+        "{resident} resident bytes exceed the {index_bytes} index bytes"
+    );
 
     // Starved budget (1 byte: every section load evicts), reverse order,
     // day selection restricted then widened via a second handle.
