@@ -27,15 +27,6 @@ pub struct ChaosCensus {
 }
 
 impl ChaosCensus {
-    /// Prefixes the CHAOS heuristic would call anycast (≥2 identities).
-    pub fn anycast_prefixes(&self) -> Vec<PrefixKey> {
-        self.identities
-            .iter()
-            .filter(|(_, v)| v.len() >= 2)
-            .map(|(p, _)| *p)
-            .collect()
-    }
-
     /// The CHAOS "site count" for a prefix (distinct identities).
     pub fn site_count(&self, prefix: PrefixKey) -> usize {
         self.identities.get(&prefix).map_or(0, Vec::len)

@@ -5,7 +5,7 @@
 //! relations iteratively and re-scans the full sample set per extracted
 //! site; on large campaigns the analysis phase took hours. LACeS
 //! reimplements the analysis as a single sorted sweep (see
-//! [`laces_gcd::enumerate`]). This module preserves the *classic*
+//! [`laces_gcd::enumerate`](mod@laces_gcd::enumerate)). This module preserves the *classic*
 //! formulation — build the full pairwise overlap matrix, then iteratively
 //! extract the smallest disk disjoint from everything selected — so the
 //! equivalence can be property-tested and the speedup benchmarked.

@@ -103,7 +103,6 @@ pub fn rate(a: &Artifacts) -> Report {
             day: 0,
             faults: laces_core::fault::FaultPlan::default(),
             senders: None,
-            batch_size: laces_core::spec::DEFAULT_BATCH_SIZE,
             shards: laces_core::spec::default_shards(),
             trace: Default::default(),
         };

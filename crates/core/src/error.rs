@@ -3,9 +3,10 @@
 //! PR 1's entry points panicked on misuse (`assert!(platform.is_anycast())`)
 //! — acceptable for a prototype, wrong for a library the census pipeline
 //! and external callers build on. Every `run_*` entry point now returns
-//! `Result<_, MeasurementError>`, and [`MeasurementSpec::builder`]
-//! (crate::spec::MeasurementSpec::builder) surfaces the same variants at
-//! construction time, before any thread is spawned.
+//! `Result<_, MeasurementError>`, and
+//! [`MeasurementSpec::builder`](crate::spec::MeasurementSpec::builder)
+//! surfaces the same variants at construction time, before any thread is
+//! spawned.
 
 use laces_netsim::PlatformId;
 
@@ -65,12 +66,6 @@ pub enum MeasurementError {
         /// What is wrong with the plan.
         detail: String,
     },
-    /// The spec's probe-batch size is zero: a worker receiving empty
-    /// batches could never make progress.
-    InvalidBatchSize {
-        /// The offending batch size.
-        batch_size: usize,
-    },
     /// The spec's probe rate is zero: a zero rate admits no schedule
     /// window, so no target could ever be dispatched. Historically this
     /// was silently clamped to 1 probe/s inside the schedule — a 10 000×
@@ -129,9 +124,6 @@ impl std::fmt::Display for MeasurementError {
             }
             MeasurementError::InvalidFaultPlan { detail } => {
                 write!(f, "invalid fault plan: {detail}")
-            }
-            MeasurementError::InvalidBatchSize { batch_size } => {
-                write!(f, "invalid batch size {batch_size}; must be at least 1")
             }
             MeasurementError::InvalidRate => {
                 write!(

@@ -2,8 +2,8 @@
 //!
 //! Three components cooperate to run a measurement:
 //!
-//! * the **CLI** ([`cli`]) turns a command line into a
-//!   [`MeasurementSpec`](spec::MeasurementSpec) and sinks the result stream;
+//! * the **CLI** ([`cli`]) turns a command line into a [`MeasurementSpec`]
+//!   and sinks the result stream;
 //! * the **Orchestrator** ([`orchestrator`]) seals start orders, streams
 //!   the hitlist to the workers at the configured rate, and aggregates
 //!   results, surviving worker failures;
@@ -14,9 +14,8 @@
 //! Classification ([`classify`]) turns an aggregated outcome into the
 //! anycast-based verdict per prefix (unicast / anycast / unresponsive plus
 //! the receiving-VP count, the methodology's confidence signal). The
-//! census classifies at capture instead
-//! ([`run_classified`](orchestrator::run_classified)), with the same result
-//! and no per-reply records.
+//! census classifies at capture instead ([`run_classified`]), with the
+//! same result and no per-reply records.
 //!
 //! # Example: a synchronized ICMP measurement
 //!

@@ -72,6 +72,16 @@ use crate::worker::{run_worker, ProbeBatch, ProbeOrder, StartOrder, WorkerOut};
 /// keep only a small in-flight window). Threaded pipeline only.
 const ORDER_QUEUE: usize = 4_096;
 
+/// Probe-batch size: how many orders the Orchestrator groups into one
+/// frame per worker — one channel send on the threaded pipeline, one
+/// `World::send_probe_batch` call on either. Tuned when batching landed:
+/// 256 amortizes channel wakeups and fabric flushes into large frames
+/// while the in-flight window per worker stays modest; larger sizes
+/// measured flat to slightly worse. Framing only: every per-order
+/// decision is keyed on the order's global hitlist index, never on the
+/// frame it travels in.
+const BATCH_SIZE: usize = 256;
+
 /// Measurement ids with this bit set are reserved for the internal
 /// precheck pass of [`run_with_precheck`]; user measurements must stay
 /// below it. The explicit partition guarantees a precheck can never share
@@ -226,11 +236,7 @@ fn base_telemetry(spec: &MeasurementSpec, n_workers: usize, span_ms: u64) -> Run
     telemetry.set_gauge(names::orchestrator::RATE_PER_S, u64::from(spec.rate_per_s));
     telemetry.set_gauge(
         names::orchestrator::PROBE_BUDGET,
-        spec.probe_budget(if spec.senders.is_some() {
-            spec.senders.as_ref().map_or(0, |s| s.len())
-        } else {
-            n_workers
-        }),
+        spec.probe_budget(n_workers),
     );
     if let Some(fabric) = &spec.faults.fabric {
         // Planned fabric fault rates, in permille, next to the observed
@@ -812,7 +818,7 @@ fn run_shard<'a, A: Accumulate>(
                         .collect();
                     if let Some(session) = ws.session.as_mut() {
                         // laces-lint: allow(discarded-fallibility) — the zero-copy path sends metadata with empty byte slices; the wire's only error source is parsing probe bytes, which this path never does
-                        let _ = cx.world.send_probe_batch_slotted(
+                        let _ = cx.world.send_probe_batch(
                             session,
                             cx.src_addr,
                             spec.protocol,
@@ -934,7 +940,7 @@ fn run_shard<'a, A: Accumulate>(
             if i < plan.probe_end {
                 ws.probed += 1;
             }
-            if ws.batch.len() >= spec.batch_size {
+            if ws.batch.len() >= BATCH_SIZE {
                 flush!(w);
             }
         }
@@ -1291,9 +1297,8 @@ pub fn run_measurement_threaded(
     let mut cap_rxs = Vec::with_capacity(n_workers);
     // The queue bound is denominated in *orders*: batching the stream must
     // not multiply the per-worker in-flight window by the batch size.
-    let batch_queue = (ORDER_QUEUE / spec.batch_size.max(1)).max(1);
     for _ in 0..n_workers {
-        let (ot, or) = channel::bounded::<ProbeBatch>(batch_queue);
+        let (ot, or) = channel::bounded::<ProbeBatch>(ORDER_QUEUE / BATCH_SIZE);
         order_txs.push(ot);
         order_rxs.push(or);
         let (ct, cr) = channel::unbounded();
@@ -1387,7 +1392,7 @@ pub fn run_measurement_threaded(
             let mut txs: Vec<Option<_>> = order_txs.into_iter().map(Some).collect();
             let mut sent = vec![0usize; txs.len()];
             // Per-worker batch accumulators: one channel send per
-            // `spec.batch_size` orders instead of one per target. Fault
+            // `BATCH_SIZE` orders instead of one per target. Fault
             // semantics stay per-order — delays and closes are applied to
             // individual orders before they enter a batch.
             let mut pending: Vec<Vec<ProbeOrder>> = txs.iter().map(|_| Vec::new()).collect();
@@ -1469,7 +1474,7 @@ pub fn run_measurement_threaded(
                         });
                         pending[w].push(order);
                         sent[w] += 1;
-                        if pending[w].len() >= spec.batch_size {
+                        if pending[w].len() >= BATCH_SIZE {
                             flush(w, &mut pending, tx);
                         }
                     }

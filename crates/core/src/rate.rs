@@ -62,11 +62,13 @@ impl TokenBucket {
 /// `i * 1000 / rate` milliseconds.
 ///
 /// A zero rate admits no schedule — every window is unreachable
-/// (`u64::MAX`). [`MeasurementSpec::builder`](crate::spec::MeasurementSpec)
-/// rejects zero rates up front ([`MeasurementError::InvalidRate`]
-/// (crate::error::MeasurementError::InvalidRate)); this function used to
-/// paper over them by clamping 0 → 1 probe/s, which silently turned a
-/// misconfigured census into one running 10 000× slower than intended.
+/// (`u64::MAX`).
+/// [`MeasurementSpec::builder`](crate::spec::MeasurementSpec::builder)
+/// rejects zero rates up front
+/// ([`MeasurementError::InvalidRate`](crate::error::MeasurementError::InvalidRate));
+/// this function used to paper over them by clamping 0 → 1 probe/s, which
+/// silently turned a misconfigured census into one running 10 000× slower
+/// than intended.
 pub fn window_start_ms(index: usize, rate_per_s: u32) -> u64 {
     (index as u64)
         .saturating_mul(1000)

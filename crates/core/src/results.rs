@@ -88,19 +88,6 @@ impl RecordArena {
         Self::default()
     }
 
-    /// An empty arena pre-sized for `n` records.
-    pub fn with_capacity(n: usize) -> Self {
-        RecordArena {
-            records: Vec::with_capacity(n),
-        }
-    }
-
-    /// Append one record.
-    #[inline]
-    pub fn push(&mut self, record: ProbeRecord) {
-        self.records.push(record);
-    }
-
     /// Records accumulated so far.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -316,12 +303,12 @@ mod tests {
             chaos_identity: None,
         };
         let mut a = RecordArena::new();
-        let mut b = RecordArena::with_capacity(4);
+        let mut b = RecordArena::new();
         let c = RecordArena::new();
-        a.push(rec(0, 1));
-        b.push(rec(1, 2));
-        b.push(rec(1, 2)); // fabric duplicate: multiset keeps both
-        b.push(rec(2, 3));
+        a.fold(0, rec(0, 1));
+        b.fold(0, rec(1, 2));
+        b.fold(0, rec(1, 2)); // fabric duplicate: multiset keeps both
+        b.fold(1, rec(2, 3));
         assert_eq!(a.len(), 1);
         assert!(!b.is_empty());
         assert!(c.is_empty());

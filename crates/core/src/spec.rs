@@ -18,14 +18,6 @@ use crate::error::MeasurementError;
 use crate::fault::FaultPlan;
 use crate::orchestrator::PRECHECK_ID_BIT;
 
-/// Default probe-batch size: how many orders the Orchestrator groups into
-/// one channel send toward each worker, and how many probes a worker hands
-/// to the wire per `send_probe_batch` call. Tuned when batching landed:
-/// 256 amortizes channel wakeups and fabric flushes into large frames
-/// while the in-flight window per worker stays modest; larger sizes
-/// measured flat to slightly worse.
-pub const DEFAULT_BATCH_SIZE: usize = 256;
-
 /// Cap on the default shard count: beyond ~16 shards the per-shard slices
 /// of realistic hitlists drop below the size where per-shard session setup
 /// amortizes, and the merge fan-in starts to show.
@@ -73,13 +65,6 @@ pub struct MeasurementSpec {
     /// `None` means every worker probes. Used by the single-VP
     /// responsiveness precheck (paper §6 future work).
     pub senders: Option<Vec<u16>>,
-    /// Orders per [`ProbeBatch`](crate::worker::ProbeBatch): the
-    /// Orchestrator issues `ceil(n_targets / batch_size)` channel sends per
-    /// worker instead of one per target. Purely a transport knob — records,
-    /// classification and telemetry are bit-identical across batch sizes
-    /// (the probe schedule and all RNG draws are keyed on per-probe
-    /// coordinates, never on the batching).
-    pub batch_size: usize,
     /// Shard count for the hitlist stream: the Orchestrator splits the
     /// hitlist into this many contiguous slices, each streamed by its own
     /// shard with its own per-worker probe sessions and capture accumulator.
@@ -92,7 +77,7 @@ pub struct MeasurementSpec {
     /// Flight-recorder configuration. Disabled by default: the probing hot
     /// path then pays one branch per hook and allocates nothing. When
     /// enabled, targets are sampled by a seeded, prefix-keyed hash, so the
-    /// same targets are traced on every rerun and at every batch size.
+    /// same targets are traced on every rerun and at every shard count.
     pub trace: TraceConfig,
 }
 
@@ -117,7 +102,6 @@ impl MeasurementSpec {
             day,
             faults: FaultPlan::default(),
             senders: None,
-            batch_size: DEFAULT_BATCH_SIZE,
             shards: default_shards(),
             trace: TraceConfig::default(),
         }
@@ -145,9 +129,14 @@ impl MeasurementSpec {
         self.offset_ms * (n_workers.saturating_sub(1)) as u64
     }
 
-    /// Total probes this measurement will send.
+    /// Total probes this measurement will send: targets × the workers
+    /// `w < n_workers` that transmit. A sender restriction that names a
+    /// worker twice still counts it once.
     pub fn probe_budget(&self, n_workers: usize) -> u64 {
-        self.targets.len() as u64 * n_workers as u64
+        let senders = (0..n_workers)
+            .filter(|&w| u16::try_from(w).is_ok_and(|w| self.is_sender(w)))
+            .count();
+        self.targets.len() as u64 * senders as u64
     }
 }
 
@@ -209,14 +198,6 @@ impl MeasurementSpecBuilder {
         self
     }
 
-    /// Set the probe-batch size (orders per channel send; default
-    /// [`DEFAULT_BATCH_SIZE`]). Outputs are invariant in this knob; it only
-    /// trades channel overhead against the per-worker in-flight window.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.spec.batch_size = batch_size;
-        self
-    }
-
     /// Set the shard count for the hitlist stream (default:
     /// [`default_shards`]). Outputs are invariant in this knob; it only
     /// sets how many slices of the hitlist stream in parallel.
@@ -244,16 +225,12 @@ impl MeasurementSpecBuilder {
     ///   names a worker the platform does not have;
     /// * [`MeasurementError::InvalidFaultPlan`] — a fabric rate outside
     ///   [0, 1] or a fault scheduled on a nonexistent worker;
-    /// * [`MeasurementError::InvalidBatchSize`] — a batch size of zero;
     /// * [`MeasurementError::InvalidRate`] — a probe rate of zero (no
     ///   schedule window could ever open);
     /// * [`MeasurementError::InvalidShardCount`] — a shard count of zero
     ///   (zero slices cover no hitlist).
     pub fn build(self, world: &World) -> Result<MeasurementSpec, MeasurementError> {
         let spec = self.spec;
-        if spec.batch_size == 0 {
-            return Err(MeasurementError::InvalidBatchSize { batch_size: 0 });
-        }
         if spec.rate_per_s == 0 {
             return Err(MeasurementError::InvalidRate);
         }
@@ -339,5 +316,13 @@ mod tests {
     #[test]
     fn probe_budget_counts_workers() {
         assert_eq!(spec(1_000).probe_budget(32), 320);
+        // Only senders count, each once, and only on the platform.
+        let mut s = spec(1_000);
+        s.senders = Some(vec![3]);
+        assert_eq!(s.probe_budget(32), 10);
+        s.senders = Some(vec![3, 3]);
+        assert_eq!(s.probe_budget(32), 10);
+        s.senders = Some(vec![0, 5]);
+        assert_eq!(s.probe_budget(4), 10, "worker 5 is off the platform");
     }
 }

@@ -10,12 +10,13 @@
 //! and its loss costs only its own captures (R5).
 //!
 //! The hot path is allocation-lean: the worker resolves its route handles
-//! once into a [`ProbeSession`], builds probe bytes into a reused buffer
-//! pool, and hands whole batches to [`World::send_probe_batch`] — no lock
-//! acquisition and no fresh allocation per probe in steady state. Batching
-//! is purely a transport concern: the probe schedule, every RNG draw, and
-//! all telemetry totals are keyed on per-order coordinates, so outputs are
-//! bit-identical across batch sizes.
+//! once into a [`ProbeSession`](laces_netsim::ProbeSession), builds probe
+//! bytes into a reused buffer pool, and hands whole batches to
+//! [`World::send_probe_batch`] — no lock acquisition and no fresh
+//! allocation per probe in steady state. Batching is purely framing: the
+//! Orchestrator cuts the stream into frames of its fixed `BATCH_SIZE`
+//! orders, while the probe schedule, every RNG draw and all telemetry
+//! totals are keyed on per-order coordinates.
 
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -80,8 +81,8 @@ pub struct ProbeOrder {
 }
 
 /// A batch of probe orders: one channel send from the Orchestrator carries
-/// up to `spec.batch_size` orders, so streaming a hitlist of `n` targets
-/// costs `ceil(n / batch_size)` sends per worker instead of `n`.
+/// up to its fixed `BATCH_SIZE` (256) orders, so streaming a hitlist of
+/// `n` targets costs `ceil(n / 256)` sends per worker instead of `n`.
 ///
 /// Fault semantics stay per-*order*: a crash scheduled after N orders fires
 /// mid-batch exactly where it would have fired in an unbatched stream.
@@ -234,10 +235,11 @@ pub fn run_worker(
     let doomed = start.fail_after.is_some();
 
     // Reused across batches: probe byte buffers (one per order slot),
-    // the wire's delivery output, per-site fabric accumulators, and the
-    // outgoing record buffer. Steady state allocates nothing per probe.
+    // the wire's per-probe delivery slots, per-site fabric accumulators,
+    // and the outgoing record buffer. Steady state allocates nothing per
+    // probe.
     let mut pool: Vec<Vec<u8>> = Vec::new();
-    let mut deliveries: Vec<Delivery> = Vec::new();
+    let mut slots: Vec<Option<Delivery>> = Vec::new();
     let mut pending: Vec<Vec<Delivery>> = fabric.iter().map(|_| Vec::new()).collect();
     let mut records: Vec<ProbeRecord> = Vec::new();
 
@@ -307,12 +309,12 @@ pub fn run_worker(
                     &probes,
                     &ctx,
                     &wire_stats,
-                    &mut deliveries,
+                    &mut slots,
                 )
                 .map_err(WorkerError::Wire)?;
             processed_orders += take;
 
-            for delivery in deliveries.drain(..) {
+            for delivery in slots.drain(..).flatten() {
                 let verdict = start.fabric_faults.map_or(FabricVerdict::Deliver, |f| {
                     f.verdict_observed(&delivery, &fabric_stats)
                 });

@@ -1,6 +1,5 @@
-//! Helpers shared by the shard- and batch-invariance suites: the record
-//! path and the census's classify-at-capture path must agree on every
-//! spec those suites run.
+//! Helpers shared by the shard-invariance suite: the record path and the
+//! census's classify-at-capture path must agree on every spec it runs.
 
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -19,10 +18,7 @@ use laces_trace::Tracer;
 /// `orchestrator.records_collected` included), the measurement trace and
 /// the classify trace section, probe count and worker health.
 pub fn run_both(world: &Arc<World>, spec: &MeasurementSpec) -> MeasurementOutcome {
-    let label = format!(
-        "id={} shards={} batch={}",
-        spec.id, spec.shards, spec.batch_size
-    );
+    let label = format!("id={} shards={}", spec.id, spec.shards);
     let outcome = run_measurement(world, spec).expect("valid spec");
     let record_tracer = Tracer::new(spec.trace);
     let from_records = AnycastClassification::from_outcome_traced(&outcome, &record_tracer);

@@ -69,25 +69,33 @@ fn precheck_saves_probes_and_keeps_detections() {
 #[test]
 fn single_sender_measurement_still_captures_at_other_workers() {
     let w = world();
-    let mut spec = MeasurementSpec::census(
-        801,
-        w.std_platforms.production,
-        Protocol::Icmp,
-        hitlist(&w),
-        0,
-    );
-    spec.senders = Some(vec![3]);
-    let outcome = run_measurement(&w, &spec).expect("valid spec");
-    // Only worker 3 transmitted.
-    assert_eq!(outcome.probes_sent, spec.targets.len() as u64);
-    assert!(outcome.records.iter().all(|r| r.tx_worker == Some(3)));
-    // But replies were captured at many workers (anycast source routing).
-    let receivers: std::collections::BTreeSet<u16> =
-        outcome.records.iter().map(|r| r.rx_worker).collect();
-    assert!(
-        receivers.len() > 3,
-        "captures concentrated at {receivers:?}"
-    );
+    // A sender named twice is still one sender.
+    for senders in [vec![3], vec![3, 3]] {
+        let mut spec = MeasurementSpec::census(
+            801,
+            w.std_platforms.production,
+            Protocol::Icmp,
+            hitlist(&w),
+            0,
+        );
+        spec.senders = Some(senders.clone());
+        let outcome = run_measurement(&w, &spec).expect("valid spec");
+        // Only worker 3 transmitted, and the budget gauge says so.
+        assert_eq!(outcome.probes_sent, spec.targets.len() as u64);
+        assert_eq!(
+            outcome.telemetry.gauge("orchestrator.probe_budget"),
+            outcome.probes_sent,
+            "senders {senders:?}: the budget counts each sender once"
+        );
+        assert!(outcome.records.iter().all(|r| r.tx_worker == Some(3)));
+        // But replies were captured at many workers (anycast source routing).
+        let receivers: std::collections::BTreeSet<u16> =
+            outcome.records.iter().map(|r| r.rx_worker).collect();
+        assert!(
+            receivers.len() > 3,
+            "captures concentrated at {receivers:?}"
+        );
+    }
 }
 
 #[test]

@@ -7,14 +7,16 @@
 //! byte-identical for any shard count, with and without an active fault
 //! plan, and under a mid-stream abort. These tests pin that claim on the
 //! paper-topology world across shard counts {1, 4, 16} (single inline
-//! shard, even split, and more shards than some slices have targets),
-//! mirroring `batch_invariance.rs` — plus the trace export, which batch
-//! invariance does not pin. Every spec also runs through the census's
-//! classify-at-capture entry, which must report the same pass
-//! (`common::run_both`), on the v4 hitlist, a CHAOS hitlist and a hitlist
-//! that repeats prefixes. Two references anchor the sharded pipeline:
-//! the live threaded orchestrator, and the frozen answer of the
-//! pre-batching scalar pipeline on the full v4 hitlist.
+//! shard, even split, and more shards than some slices have targets).
+//! Frames are a fixed 256 orders per worker, so the shard count also
+//! decides where full frames are flushed: the faulted case includes a
+//! hitlist long enough for one shard to flush a full frame before a
+//! crash. Every spec also runs through the census's classify-at-capture
+//! entry, which must report the same pass (`common::run_both`), on the v4
+//! hitlist, a CHAOS hitlist and a hitlist that repeats prefixes. Two
+//! references anchor the sharded pipeline: the live threaded
+//! orchestrator, and the frozen answer of the pre-batching scalar
+//! pipeline on the full v4 hitlist.
 
 mod common;
 
@@ -205,27 +207,38 @@ fn pipeline_reproduces_the_frozen_scalar_pipeline_answer() {
 #[test]
 fn faulted_outputs_are_byte_identical_across_shard_counts() {
     let w = world();
-    let targets = hitlist(w, 120);
     // A crash point that lands mid-slice for every tested shard count,
-    // plus lossy/duplicating capture fabric and a seal rejection — the
-    // full fault surface crossing shard boundaries.
-    let plan = || {
-        FaultPlan::with_seed(0xBA7C)
-            .and_crash(3, 37)
-            .and_fabric(0.05, 0.03)
-    };
-    let baseline = run_both(w, &spec_with(w, 42_002, Arc::clone(&targets), plan(), 1));
-    assert_eq!(baseline.failed_workers, vec![3], "crash plan must fire");
-    assert!(
-        baseline.telemetry.counter("fabric.dropped") > 0,
-        "fabric drop must fire"
-    );
-    for shards in [4usize, 16] {
-        let outcome = run_both(
-            w,
-            &spec_with(w, 42_002, Arc::clone(&targets), plan(), shards),
+    // plus lossy/duplicating capture fabric — the fault surface crossing
+    // shard boundaries. The 120-target input fits in one tail frame per
+    // worker at every shard count. On the 700-target input one shard
+    // flushes worker 3's first full 256-order frame and crashes inside
+    // the next, while 4 and 16 shards only ever flush tail frames.
+    for (id, n, crash_after) in [(42_002, 120, 37), (42_011, 700, 300)] {
+        let targets = hitlist(w, n);
+        assert_eq!(targets.len(), n, "the world must hold {n} v4 targets");
+        let plan = || {
+            FaultPlan::with_seed(0xBA7C)
+                .and_crash(3, crash_after)
+                .and_fabric(0.05, 0.03)
+        };
+        let baseline = run_both(w, &spec_with(w, id, Arc::clone(&targets), plan(), 1));
+        assert_eq!(
+            baseline.failed_workers,
+            vec![3],
+            "n={n}: crash plan must fire"
         );
-        assert_outputs_equal(&baseline, &outcome, &format!("faulted shards={shards}"));
+        assert!(
+            baseline.telemetry.counter("fabric.dropped") > 0,
+            "n={n}: fabric drop must fire"
+        );
+        for shards in [4usize, 16] {
+            let outcome = run_both(w, &spec_with(w, id, Arc::clone(&targets), plan(), shards));
+            assert_outputs_equal(
+                &baseline,
+                &outcome,
+                &format!("faulted n={n} shards={shards}"),
+            );
+        }
     }
 }
 

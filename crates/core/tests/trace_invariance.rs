@@ -2,10 +2,12 @@
 //!
 //! The tentpole claim of `laces-trace` is that the recorded event stream
 //! is part of the deterministic output surface: both exporters (JSONL and
-//! Chrome trace-event) are bit-identical across reruns and across batch
-//! sizes, fault-free and under crash+fabric fault plans, and the seeded
+//! Chrome trace-event) are bit-identical across reruns and across shard
+//! counts, fault-free and under crash+fabric fault plans, and the seeded
 //! target-keyed sample traces the *same* targets on every rerun. These
-//! tests mirror `batch_invariance.rs` on the paper-topology world.
+//! are the only tests that compare the Chrome export across layouts;
+//! `shard_invariance.rs` covers the JSONL trace together with records,
+//! classification and telemetry.
 
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
@@ -42,20 +44,20 @@ fn spec_with(
     id: u32,
     targets: Arc<Vec<IpAddr>>,
     faults: FaultPlan,
-    batch_size: usize,
+    shards: usize,
     trace: TraceConfig,
 ) -> MeasurementSpec {
     MeasurementSpec::builder(id, world.std_platforms.production)
         .targets(targets)
         .faults(faults)
-        .batch_size(batch_size)
+        .shards(shards)
         .trace(trace)
         .build(world)
         .expect("valid spec")
 }
 
-/// The crash+fabric plan from `batch_invariance.rs`: a crash point that is
-/// not a multiple of any tested batch size, plus lossy/duplicating fabric.
+/// A crash+fabric plan: worker 3 crashes after 37 of its 120 orders, and
+/// the capture fabric drops 5% and duplicates 3% of deliveries.
 fn faulted_plan() -> FaultPlan {
     FaultPlan::with_seed(0xBA7C)
         .and_crash(3, 37)
@@ -71,11 +73,11 @@ fn exports(outcome: &MeasurementOutcome) -> (String, String) {
 }
 
 #[test]
-fn trace_exports_are_bit_identical_across_batch_sizes() {
+fn trace_exports_are_bit_identical_across_shard_counts() {
     let w = world();
     let targets = hitlist(w, 120);
     let trace = TraceConfig::all(0x7ACE);
-    let run = |batch_size: usize| {
+    let run = |shards: usize| {
         run_measurement(
             w,
             &spec_with(
@@ -83,7 +85,7 @@ fn trace_exports_are_bit_identical_across_batch_sizes() {
                 42_001,
                 Arc::clone(&targets),
                 FaultPlan::none(),
-                batch_size,
+                shards,
                 trace,
             ),
         )
@@ -95,25 +97,25 @@ fn trace_exports_are_bit_identical_across_batch_sizes() {
         "tracing must record a non-trivial stream"
     );
     let (jsonl, chrome) = exports(&baseline);
-    // Rerun at the same batch size: bit-identical.
+    // Rerun at the same shard count: bit-identical.
     assert_eq!(exports(&run(1)), (jsonl.clone(), chrome.clone()));
-    // Batching is transport framing: exports do not move.
-    for batch_size in [16usize, 256] {
-        let outcome = run(batch_size);
+    // The shard layout is a throughput knob: exports do not move.
+    for shards in [4usize, 16] {
+        let outcome = run(shards);
         assert_eq!(
             exports(&outcome),
             (jsonl.clone(), chrome.clone()),
-            "trace exports diverge at batch_size={batch_size}"
+            "trace exports diverge at shards={shards}"
         );
     }
 }
 
 #[test]
-fn faulted_trace_exports_are_bit_identical_across_batch_sizes() {
+fn faulted_trace_exports_are_bit_identical_across_shard_counts() {
     let w = world();
     let targets = hitlist(w, 120);
     let trace = TraceConfig::all(0x7ACE);
-    let run = |batch_size: usize| {
+    let run = |shards: usize| {
         run_measurement(
             w,
             &spec_with(
@@ -121,7 +123,7 @@ fn faulted_trace_exports_are_bit_identical_across_batch_sizes() {
                 42_002,
                 Arc::clone(&targets),
                 faulted_plan(),
-                batch_size,
+                shards,
                 trace,
             ),
         )
@@ -135,12 +137,12 @@ fn faulted_trace_exports_are_bit_identical_across_batch_sizes() {
         "the crash must be on the record"
     );
     assert_eq!(exports(&run(1)), (jsonl.clone(), chrome.clone()));
-    for batch_size in [16usize, 256] {
-        let outcome = run(batch_size);
+    for shards in [4usize, 16] {
+        let outcome = run(shards);
         assert_eq!(
             exports(&outcome),
             (jsonl.clone(), chrome.clone()),
-            "faulted trace exports diverge at batch_size={batch_size}"
+            "faulted trace exports diverge at shards={shards}"
         );
     }
 }
@@ -150,7 +152,7 @@ fn sampling_is_seeded_and_target_keyed() {
     let w = world();
     let targets = hitlist(w, 120);
     let trace = TraceConfig::sampled(0x5EED, 250);
-    let run = |batch_size: usize| {
+    let run = |shards: usize| {
         run_measurement(
             w,
             &spec_with(
@@ -158,7 +160,7 @@ fn sampling_is_seeded_and_target_keyed() {
                 42_003,
                 Arc::clone(&targets),
                 FaultPlan::none(),
-                batch_size,
+                shards,
                 trace,
             ),
         )
@@ -187,10 +189,10 @@ fn sampling_is_seeded_and_target_keyed() {
             "{prefix} sampling must be target-keyed"
         );
     }
-    // Reruns and rebatching trace the same targets, byte for byte.
+    // Reruns and every shard layout trace the same targets, byte for byte.
     let (jsonl, chrome) = exports(&baseline);
-    for batch_size in [1usize, 16, 256] {
-        let outcome = run(batch_size);
+    for shards in [1usize, 4, 16] {
+        let outcome = run(shards);
         assert_eq!(outcome.trace_report.traced_prefixes(), traced);
         assert_eq!(exports(&outcome), (jsonl.clone(), chrome.clone()));
     }
@@ -267,7 +269,7 @@ fn tracing_is_disabled_by_default_and_off_means_empty() {
         let run = |trace: TraceConfig| {
             run_measurement(
                 w,
-                &spec_with(w, id, Arc::clone(&targets), faults.clone(), 256, trace),
+                &spec_with(w, id, Arc::clone(&targets), faults.clone(), 4, trace),
             )
             .expect("valid spec")
         };

@@ -2,14 +2,13 @@
 //! followed by iGreedy analysis, per target.
 //!
 //! The campaign runs at the probing pipeline's per-probe cost profile:
-//! per-chunk [`ProbeSession`]s and reusable probe buffers
-//! (`build_probe_into`), the prepared batch wire path
-//! (`World::send_probe_batch_slotted` with attached metadata, skipping
-//! reply-byte synthesis), a campaign-scoped [`VpGeometry`] memo replacing
-//! per-target haversines, and the grid-indexed city geolocation. The
-//! original scalar engine survives as [`run_campaign_reference`], and the
-//! `gcd_invariance` suite pins both engines — and every chunk count —
-//! byte-identical.
+//! per-chunk [`ProbeSession`]s, the prepared batch wire path
+//! (`World::send_probe_batch` with attached metadata and no probe bytes,
+//! skipping reply-byte synthesis), a campaign-scoped [`VpGeometry`] memo
+//! replacing per-target haversines, and the grid-indexed city
+//! geolocation. The original scalar engine survives as
+//! [`run_campaign_reference`], and the `gcd_invariance` suite pins both
+//! engines — and every chunk count — byte-identical.
 
 use std::collections::BTreeMap;
 use std::net::IpAddr;
@@ -23,7 +22,7 @@ use laces_netsim::wire::{
 };
 use laces_netsim::{platform as plat, PlatformId, World};
 use laces_obs::{names, Degraded, DegradedReason, RunReport, SimClock, StageTimer};
-use laces_packet::probe::{build_probe, build_probe_into, ProbeEncoding, ProbeMeta};
+use laces_packet::probe::{build_probe, ProbeEncoding, ProbeMeta};
 use laces_packet::{PrefixKey, Protocol};
 use laces_trace::{Component, TraceConfig, TraceEvent, TraceReport, Tracer};
 use serde::{Deserialize, Serialize};
@@ -158,15 +157,6 @@ pub struct GcdReport {
 }
 
 impl GcdReport {
-    /// Prefixes with a proven violation.
-    pub fn anycast_prefixes(&self) -> Vec<PrefixKey> {
-        self.results
-            .iter()
-            .filter(|(_, r)| r.class == GcdClass::Anycast)
-            .map(|(p, _)| *p)
-            .collect()
-    }
-
     /// Count per class.
     pub fn count(&self, class: GcdClass) -> usize {
         self.results.values().filter(|r| r.class == class).count()
@@ -577,8 +567,7 @@ fn probe_chunk_fast(
     // A batch shares one source address, so targets split by family.
     let v4: Vec<usize> = (0..n).filter(|&i| part[i].is_ipv4()).collect();
     let v6: Vec<usize> = (0..n).filter(|&i| part[i].is_ipv6()).collect();
-    // Probe-byte buffers and delivery slots, reused across every batch.
-    let mut bufs: Vec<Vec<u8>> = Vec::new();
+    // Delivery slots, reused across every batch.
     let mut slots: Vec<Option<Delivery>> = Vec::new();
 
     // Cap each wire batch so its delivery slots stay cache-resident: a
@@ -607,7 +596,6 @@ fn probe_chunk_fast(
                     ctx,
                     window_start,
                     wire,
-                    &mut bufs,
                     &mut slots,
                 );
                 for (j, &ti) in block.iter().enumerate() {
@@ -649,11 +637,11 @@ fn probe_chunk_fast(
     rtts
 }
 
-/// One (VP, family) batch: every target's attempt train, probe bytes
-/// built into the reusable per-slot buffers (`build_probe_into`),
-/// metadata attached so the wire takes the prepared path. `slots` comes
-/// back with one entry per probe in probe order — positional, so a
-/// repeated destination in `part` cannot misattribute replies.
+/// One (VP, family) batch: every target's attempt train as prepared
+/// probes — metadata attached and no bytes, since the prepared wire path
+/// never parses probe bytes. `slots` comes back with one entry per probe
+/// in probe order — positional, so a repeated destination in `part`
+/// cannot misattribute replies.
 #[allow(clippy::too_many_arguments)]
 fn send_vp_batch(
     world: &World,
@@ -666,7 +654,6 @@ fn send_vp_batch(
     ctx: &MeasurementCtx,
     window_start: u64,
     wire: &WireStats,
-    bufs: &mut Vec<Vec<u8>>,
     slots: &mut Vec<Option<Delivery>>,
 ) {
     let attempts = usize::from(cfg.attempts.max(1));
@@ -676,7 +663,7 @@ fn send_vp_batch(
     // schedule offsets under a *fixed* window start — passing each
     // attempt's tx as its own window start would zero the offset and
     // give every retry the identical loss/jitter draw.
-    let meta_at = |vp: usize, attempt: usize| -> (u64, ProbeMeta) {
+    let meta_at = |attempt: usize| -> (u64, ProbeMeta) {
         let tx = window_start + attempt as u64 * 50;
         (
             tx,
@@ -687,66 +674,20 @@ fn send_vp_batch(
             },
         )
     };
-    // A v4 ICMP probe's bytes are a function of (source, meta) only: the
-    // v4 ICMP checksum has no pseudo-header, so the destination address
-    // never reaches the byte stream (`laces-packet` pins this with
-    // `v4_echo_request_bytes_ignore_destination`). Within a batch the
-    // meta varies only by attempt, so one template per attempt serves
-    // every target byte-for-byte.
-    let template = matches!(cfg.protocol, Protocol::Icmp) && src.is_ipv4();
-    if template {
-        if bufs.len() < attempts {
-            bufs.resize_with(attempts, Vec::new);
-        }
-        for (attempt, buf) in bufs.iter_mut().enumerate().take(attempts) {
-            let (_, meta) = meta_at(vp, attempt);
-            build_probe_into(
-                src,
-                part[tis[0]],
-                cfg.protocol,
-                &meta,
-                ProbeEncoding::PerWorker,
-                buf,
-            );
-        }
-    } else {
-        if bufs.len() < total {
-            bufs.resize_with(total, Vec::new);
-        }
-        let mut k = 0usize;
-        for &ti in tis {
-            for attempt in 0..attempts {
-                let (_, meta) = meta_at(vp, attempt);
-                build_probe_into(
-                    src,
-                    part[ti],
-                    cfg.protocol,
-                    &meta,
-                    ProbeEncoding::PerWorker,
-                    &mut bufs[k],
-                );
-                k += 1;
-            }
-        }
-    }
     let mut probes: Vec<BatchProbe<'_>> = Vec::with_capacity(total);
-    let mut k = 0usize;
     for &ti in tis {
         for attempt in 0..attempts {
-            let (tx, meta) = meta_at(vp, attempt);
+            let (tx, meta) = meta_at(attempt);
             probes.push(BatchProbe {
                 dst: part[ti],
-                bytes: if template { &bufs[attempt] } else { &bufs[k] },
+                bytes: &[],
                 tx_time_ms: tx,
                 window_start_ms: window_start,
                 meta: Some((meta, ProbeEncoding::PerWorker)),
             });
-            k += 1;
         }
     }
-    if let Err(e) =
-        world.send_probe_batch_slotted(session, src, cfg.protocol, &probes, ctx, wire, slots)
-    {
+    if let Err(e) = world.send_probe_batch(session, src, cfg.protocol, &probes, ctx, wire, slots) {
         // laces-lint: allow(panic-path) — with `meta` attached the wire never parses probe bytes, so a malformed-probe error here means the engine itself built a bad prepared probe: a bug worth failing loudly on
         unreachable!("prepared GCD probes cannot be malformed: {e}");
     }

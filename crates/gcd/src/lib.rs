@@ -6,7 +6,7 @@
 //! *speed-of-light violation* proving the address is served from multiple
 //! locations. This crate provides:
 //!
-//! * [`enumerate`] — the violation test, the greedy independent-disk site
+//! * [`enumerate`](mod@enumerate) — the violation test, the greedy independent-disk site
 //!   enumeration, and population-based geolocation (fast enough to run
 //!   daily, unlike the original iGreedy);
 //! * [`engine`] — measurement campaigns from a VP platform (Ark- or

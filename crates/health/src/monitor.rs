@@ -135,9 +135,11 @@ fn dispatched_by(rel_ms: u64, n_targets: usize, rate_per_s: u32) -> u64 {
 }
 
 /// The schedule evaluated at `t_ms`: probes dispatched across all
-/// workers (worker `w` starts at `w * offset_ms`).
+/// sending workers (worker `w` starts at `w * offset_ms`). Non-senders
+/// are skipped, as in [`MeasurementSpec::probe_budget`].
 fn scheduled_by(spec: &MeasurementSpec, n_workers: usize, t_ms: u64) -> u64 {
     (0..n_workers)
+        .filter(|&w| u16::try_from(w).is_ok_and(|w| spec.is_sender(w)))
         .map(|w| {
             let start = spec.offset_ms * w as u64;
             if t_ms < start {

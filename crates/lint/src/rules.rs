@@ -36,7 +36,7 @@ pub enum Rule {
     PrintPath,
     /// R6: no direct `degraded` / `worker_health` field matching on the
     /// measurement path outside `impl Degraded for ..` blocks. Degradation
-    /// state is read through the [`Degraded`] trait
+    /// state is read through the `laces_obs::Degraded` trait
     /// (`degraded_reasons()` / `is_degraded()`) so the sorted+dedup
     /// invariant and the "published anyway, flagged why" contract stay in
     /// one place; ad-hoc field pokes bypass both.

@@ -133,7 +133,7 @@ pub fn crate_of(path: &str) -> &str {
 }
 
 /// Parse one file's token stream into its function symbols. `skip[i]`
-/// marks test-exempt tokens (from [`crate::exempt_tokens`]); functions
+/// marks test-exempt tokens (from `exempt_tokens`); functions
 /// whose `fn` token is masked are recorded with `is_test = true`.
 pub fn file_symbols(path: &str, tokens: &[Token], skip: &[bool]) -> Vec<FnSym> {
     let n = tokens.len();

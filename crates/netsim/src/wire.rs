@@ -276,7 +276,8 @@ impl ProbeSession {
 pub struct BatchProbe<'a> {
     /// Destination address.
     pub dst: IpAddr,
-    /// Pre-serialized transport bytes. May be empty when `meta` is set.
+    /// Pre-serialized transport bytes. Ignored — and may be empty — when
+    /// `meta` is set: the prepared path never parses probe bytes.
     pub bytes: &'a [u8],
     /// Virtual transmit time of this probe.
     pub tx_time_ms: u64,
@@ -402,46 +403,20 @@ impl World {
     /// accumulated locally and added to `stats` once per batch (the sums
     /// are identical to per-probe increments).
     ///
-    /// Deliveries are appended to `out` (cleared first) in probe order.
+    /// Results are *positional*: `out` (cleared first) gets exactly one
+    /// slot per probe, in probe order — `None` for unanswered or malformed
+    /// probes — so callers map deliveries back to probes without matching
+    /// addresses, which is ambiguous when a batch legitimately repeats a
+    /// destination (retry trains, duplicate hitlist rows).
     ///
     /// # Errors
     ///
     /// Malformed probe bytes surface as `Err` after the whole batch has
     /// been processed (the malformed probe itself elicits nothing, exactly
-    /// as on the scalar path); the first error wins.
+    /// as on the scalar path); the first error wins. A probe with `meta`
+    /// attached never has its bytes parsed, so it cannot error.
     #[allow(clippy::too_many_arguments)]
     pub fn send_probe_batch(
-        &self,
-        session: &mut ProbeSession,
-        src_addr: IpAddr,
-        protocol: Protocol,
-        probes: &[BatchProbe<'_>],
-        ctx: &MeasurementCtx,
-        stats: &WireStats,
-        out: &mut Vec<Delivery>,
-    ) -> Result<(), PacketError> {
-        out.clear();
-        self.send_probe_batch_inner(session, src_addr, protocol, probes, ctx, stats, |d| {
-            if let Some(d) = d {
-                out.push(d);
-            }
-        })
-    }
-
-    /// [`World::send_probe_batch`] with *positional* results: `out` gets
-    /// exactly one slot per probe (`None` for unanswered or malformed
-    /// probes), so callers can map deliveries back to probes without
-    /// matching addresses — which is ambiguous when a batch legitimately
-    /// repeats a destination (retry trains, duplicate hitlist rows).
-    /// Accounting and per-probe outcomes are identical to
-    /// [`World::send_probe_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`World::send_probe_batch`]: the first malformed probe's
-    /// error, after the whole batch has been processed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_probe_batch_slotted(
         &self,
         session: &mut ProbeSession,
         src_addr: IpAddr,
@@ -452,26 +427,6 @@ impl World {
         out: &mut Vec<Option<Delivery>>,
     ) -> Result<(), PacketError> {
         out.clear();
-        self.send_probe_batch_inner(session, src_addr, protocol, probes, ctx, stats, |d| {
-            out.push(d);
-        })
-    }
-
-    /// Shared body of the two batch entry points: the per-probe decision
-    /// pipeline with session-cached handles, local statistics accumulation,
-    /// and a per-probe `sink` called in probe order (`None` for probes that
-    /// elicit nothing).
-    #[allow(clippy::too_many_arguments)]
-    fn send_probe_batch_inner(
-        &self,
-        session: &mut ProbeSession,
-        src_addr: IpAddr,
-        protocol: Protocol,
-        probes: &[BatchProbe<'_>],
-        ctx: &MeasurementCtx,
-        stats: &WireStats,
-        mut sink: impl FnMut(Option<Delivery>),
-    ) -> Result<(), PacketError> {
         let ProbeSession {
             src,
             src_platform,
@@ -532,14 +487,14 @@ impl World {
                 reply_buf,
                 tracer,
             );
-            match sent {
+            out.push(match sent {
                 Ok(Some(d)) => {
                     delivered += 1;
-                    sink(Some(d));
+                    Some(d)
                 }
                 Ok(None) => {
                     unanswered += 1;
-                    sink(None);
+                    None
                 }
                 // A malformed probe is counted as a probe but elicits
                 // nothing — same accounting as the scalar observed path.
@@ -547,9 +502,9 @@ impl World {
                     if first_err.is_none() {
                         first_err = Some(e);
                     }
-                    sink(None);
+                    None
                 }
-            }
+            });
         }
         stats.probes.add(probes.len() as u64);
         stats.deliveries.add(delivered);

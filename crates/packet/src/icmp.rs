@@ -425,10 +425,8 @@ mod tests {
     }
 
     /// A v4 echo request's bytes must not depend on the destination: the
-    /// v4 ICMP checksum has no pseudo-header. The GCD engine's batch path
-    /// relies on this to serve one probe template to a whole target slice;
-    /// the v6 counterpart (pseudo-header covers the addresses) must keep
-    /// differing, so the engine never templates v6 batches.
+    /// v4 ICMP checksum has no pseudo-header. The v6 counterpart, whose
+    /// pseudo-header covers the addresses, must keep differing.
     #[test]
     fn v4_echo_request_bytes_ignore_destination() {
         let src: IpAddr = SRC4.parse().unwrap();

@@ -3,7 +3,7 @@
 //! Events are plain data keyed on *per-probe coordinates* (target prefix,
 //! worker index, SimClock times) — never on arrival order, batch framing
 //! or thread ids — so the recorded multiset is identical across reruns and
-//! batch sizes. Variants are declared in lifecycle order and every field
+//! shard counts. Variants are declared in lifecycle order and every field
 //! type is totally ordered, so the derived `Ord` is the canonical sort the
 //! buffers and exporters rely on.
 

@@ -4,7 +4,7 @@
 //!
 //! Both outputs are pure functions of the report value: section order,
 //! canonical event order and insertion-ordered JSON objects make them
-//! byte-identical across reruns and batch sizes.
+//! byte-identical across reruns and shard counts.
 
 use serde::{Serialize, Value};
 

@@ -16,7 +16,7 @@
 //!   so nothing allocates.
 //! * **Seeded, target-keyed sampling.** Whether a target is traced is a
 //!   pure function of `(seed, sample_per_mille, prefix)` — never of
-//!   arrival order, batch size, thread interleaving or wall clock — so the
+//!   arrival order, shard count, thread interleaving or wall clock — so the
 //!   same targets are traced on every rerun ([`prefix_sampled`]).
 //! * **Bounded, order-independent buffers.** Each component writes into
 //!   its own buffer capped at `cap_per_component` events; overflow retains
@@ -24,7 +24,7 @@
 //!   so the retained set — and therefore every export — is a function of
 //!   the event *multiset*, not of the order threads happened to interleave
 //!   in. [`TraceReport`] exports are bit-identical across reruns and
-//!   across batch sizes.
+//!   across shard counts.
 //!
 //! On top of the event store sit [`Trace::explain`] (the causal chain
 //! justifying a target's verdict, including fault-attributed probe loss)
@@ -171,7 +171,7 @@ impl Component {
 
 /// Deterministic target-keyed sampling decision: a pure function of the
 /// seed and the prefix's network bits (splitmix64 finalizer), independent
-/// of arrival order, batch size and thread interleaving.
+/// of arrival order, shard count and thread interleaving.
 pub fn prefix_sampled(seed: u64, sample_per_mille: u16, prefix: PrefixKey) -> bool {
     if sample_per_mille >= 1000 {
         return true;

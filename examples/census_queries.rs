@@ -2,7 +2,7 @@
 //!
 //! Runs a few census days, publishes them through [`CensusStore`] (which
 //! writes a binary index sidecar next to every day file), then opens a
-//! [`QueryService`] handle and answers the questions a heavy-read consumer
+//! [`QueryService`](laces_census::QueryService) handle and answers the questions a heavy-read consumer
 //! asks — point lookups, longitudinal prefix histories, the Table 6 origin
 //! AS ranking, day-over-day diffs and per-site prefix lists — without ever
 //! deserialising a full day.

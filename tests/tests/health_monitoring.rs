@@ -253,6 +253,27 @@ fn monitor_log_is_deterministic_and_sees_scheduled_crashes() {
     assert_eq!(disabled.summary.probes_sent, log.summary.probes_sent);
 }
 
+/// A sender-restricted run: the budget and the schedule both skip the
+/// workers that do not transmit, so progress ends at exactly 1000‰ with
+/// the whole budget scheduled — and the budget is what was sent.
+#[test]
+fn monitor_progress_on_a_sender_restricted_run_ends_at_the_budget() {
+    let w = world();
+    let mut spec = census_spec(&w, FaultPlan::none());
+    spec.senders = Some(vec![3]);
+    let (outcome, log) = Monitor::new(MonitorConfig::every_ms(5_000))
+        .run(&spec, || run_measurement(&w, &spec))
+        .expect("measurement completes");
+    assert_eq!(log.total_probes, outcome.probes_sent);
+    assert!(log.ticks.iter().all(|t| t.progress_permille <= 1000));
+    let last = log.ticks.last().unwrap();
+    assert_eq!(
+        last.progress_permille, 1000,
+        "final tick covers the schedule"
+    );
+    assert_eq!(last.probes_scheduled, log.total_probes);
+}
+
 /// Prometheus text round-trips: `parse(render(samples)) == samples`
 /// for both export surfaces, on real pipeline output.
 #[test]
