@@ -23,10 +23,11 @@
 //! Beyond the paper's evaluation, the §6 future-work directions are
 //! implemented too: [`store`] (the public-repository persistence layer,
 //! with per-day query-index sidecars and atomic publishes), [`query`] (the
-//! indexed, handle-based read path — `laces-query` re-exported), [`canary`]
-//! (platform outage self-monitoring), [`trigger`] (BGP-feed-triggered
-//! verification of temporary anycast and hijacks), and [`hijack`]
-//! (longitudinal one-day-anomaly detection).
+//! indexed, handle-based read path — `laces-query` re-exported), [`health`]
+//! (`laces-health` re-exported, plus the health view over the store's
+//! archive), [`canary`] (platform outage self-monitoring), [`trigger`]
+//! (BGP-feed-triggered verification of temporary anycast and hijacks), and
+//! [`hijack`] (longitudinal one-day-anomaly detection).
 
 #![forbid(unsafe_code)]
 
@@ -39,20 +40,17 @@ pub mod diff;
 pub mod external;
 pub mod geoloc;
 pub mod groundtruth;
+pub mod health;
 pub mod hijack;
 pub mod longitudinal;
 pub mod partial;
 pub mod pipeline;
 pub mod record;
+mod service;
 pub mod store;
 pub mod trace_enum;
 pub mod trigger;
 
-/// Longitudinal health monitoring (`laces-health`): the per-day
-/// `health.series` sidecar written by [`store::CensusStore::save`], the
-/// lazily-loading [`health::HealthService`] handle, the seeded anomaly
-/// detectors, and the deterministic live-run [`health::Monitor`].
-pub use laces_health as health;
 /// The indexed census read path (`laces-query`): per-day binary index
 /// sidecars plus the lazily-loading [`query::QueryService`] handle.
 pub use laces_query as query;

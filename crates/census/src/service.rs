@@ -1,24 +1,18 @@
-//! The longitudinal health query service.
-//!
-//! [`HealthService`] mirrors `laces_query::QueryService`'s design: a
-//! builder (`HealthService::open(dir).days(..).cache_budget(..).build()`),
-//! lazy per-day handles over the `census-day-NNNNN.health.series`
-//! sidecars, and an LRU byte budget so a 5-year archive can be queried
-//! from a bounded-memory process. Day discovery is strict — only exact
-//! `census-day-NNNNN.health.series` names (≥5 digits) are recognized,
-//! so foreign files in a store directory are never misparsed.
-//!
-//! Like the query service, the handle records its own behaviour on a
-//! [`RunReport`] under the registered `health.*` metric names.
+//! The health service, re-exported as [`crate::health::HealthService`]:
+//! a view over a store's `health.series` sidecars through the same
+//! [`Archive`] as `laces_query::QueryService`, so it shares the archive's
+//! strict day discovery and byte-budgeted LRU (a 5-year archive fits a
+//! bounded-memory process) and records its behaviour under the
+//! registered `health.*` metric names.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use laces_health::detect::{self, DetectorConfig, HealthFinding};
+use laces_health::DaySeries;
 use laces_obs::names::health as names;
 use laces_obs::{Degraded, ReportDiff, RunReport};
-
-use crate::detect::{self, DetectorConfig, HealthFinding};
-use crate::series::DaySeries;
+use laces_query::{Archive, Artifact, CacheNames, QueryError};
 
 /// Default cache budget: health sidecars are small, so 16 MiB holds
 /// years of days; tests shrink it to force eviction.
@@ -76,22 +70,6 @@ impl std::error::Error for HealthError {
     }
 }
 
-/// The sidecar file name for `day`.
-pub fn series_file_name(day: u32) -> String {
-    format!("census-day-{day:05}.health.series")
-}
-
-/// Parse a strict sidecar file name back to its day.
-fn parse_series_name(name: &str) -> Option<u32> {
-    let digits = name
-        .strip_prefix("census-day-")?
-        .strip_suffix(".health.series")?;
-    if digits.len() < 5 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
 /// Builder for a [`HealthService`].
 #[derive(Debug)]
 pub struct HealthServiceBuilder {
@@ -102,8 +80,8 @@ pub struct HealthServiceBuilder {
 
 impl HealthServiceBuilder {
     /// Restrict the service to these days (each must have a sidecar).
-    pub fn days(mut self, days: Vec<u32>) -> Self {
-        self.days = Some(days);
+    pub fn days(mut self, days: impl IntoIterator<Item = u32>) -> Self {
+        self.days = Some(days.into_iter().collect());
         self
     }
 
@@ -114,82 +92,46 @@ impl HealthServiceBuilder {
     }
 
     /// Discover the sidecars and build the service. Nothing is loaded
-    /// yet — handles fill lazily on first query.
+    /// yet — series load lazily on first query.
     pub fn build(self) -> Result<HealthService, HealthError> {
-        let entries = std::fs::read_dir(&self.dir).map_err(|source| HealthError::Io {
-            path: self.dir.clone(),
-            day: None,
-            source,
-        })?;
-        let mut found = BTreeMap::new();
-        for entry in entries {
-            let entry = entry.map_err(|source| HealthError::Io {
-                path: self.dir.clone(),
+        let archive = Archive::open(
+            self.dir,
+            Artifact::HealthSeries,
+            self.days,
+            self.cache_budget,
+            CACHE_NAMES,
+        )
+        .map_err(|e| match e {
+            QueryError::MissingIndex { day, .. } => HealthError::UnknownDay(day),
+            QueryError::Io { path, source } => HealthError::Io {
+                path,
                 day: None,
                 source,
-            })?;
-            let name = entry.file_name();
-            if let Some(day) = parse_series_name(&name.to_string_lossy()) {
-                found.insert(day, entry.path());
-            }
-        }
-        let selected: Vec<u32> = match &self.days {
-            None => found.keys().copied().collect(),
-            Some(days) => {
-                let mut days = days.clone();
-                days.sort_unstable();
-                days.dedup();
-                for day in &days {
-                    if !found.contains_key(day) {
-                        return Err(HealthError::UnknownDay(*day));
-                    }
-                }
-                days
-            }
-        };
-        if selected.is_empty() {
-            return Err(HealthError::NoDays);
-        }
-        let handles = selected
-            .iter()
-            .map(|day| DayHandle {
-                day: *day,
-                // laces-lint: allow(panic-path) — every selected day was verified present in `found`
-                path: found.get(day).expect("selected day discovered").clone(),
-                series: None,
-                bytes: 0,
-                last_touch: 0,
-            })
-            .collect();
-        Ok(HealthService {
-            days: selected,
-            handles,
-            budget: self.cache_budget,
-            resident_bytes: 0,
-            clock: 0,
-            telemetry: RunReport::new(),
-        })
+            },
+            // `Archive::open` fails only with the two errors above or this.
+            _ => HealthError::NoDays,
+        })?;
+        Ok(HealthService { archive })
     }
 }
 
-#[derive(Debug)]
-struct DayHandle {
-    day: u32,
-    path: PathBuf,
-    series: Option<DaySeries>,
-    bytes: u64,
-    last_touch: u64,
-}
+/// The health view's cache metrics.
+const CACHE_NAMES: CacheNames = CacheNames {
+    hits: names::CACHE_HITS,
+    misses: names::CACHE_MISSES,
+    evictions: names::CACHE_EVICTIONS,
+    days_opened: names::DAYS_OPENED,
+    resident_bytes: names::RESIDENT_BYTES,
+    resident_days: names::RESIDENT_DAYS,
+};
+
+/// The archive slot of a day's series, its only section.
+const SERIES_SLOT: usize = 0;
 
 /// Lazy, budget-capped handle over a store's health sidecars.
 #[derive(Debug)]
 pub struct HealthService {
-    days: Vec<u32>,
-    handles: Vec<DayHandle>,
-    budget: u64,
-    resident_bytes: u64,
-    clock: u64,
-    telemetry: RunReport,
+    archive: Archive,
 }
 
 impl HealthService {
@@ -205,91 +147,43 @@ impl HealthService {
 
     /// The days this service answers for, ascending.
     pub fn days(&self) -> &[u32] {
-        &self.days
+        self.archive.days()
     }
 
     /// The service's own behaviour counters (`health.*`).
     pub fn telemetry(&self) -> &RunReport {
-        &self.telemetry
-    }
-
-    fn position(&self, day: u32) -> Result<usize, HealthError> {
-        self.days
-            .binary_search(&day)
-            .map_err(|_| HealthError::UnknownDay(day))
-    }
-
-    fn touch(&mut self, pos: usize) {
-        self.clock += 1;
-        self.handles[pos].last_touch = self.clock;
-    }
-
-    /// Evict least-recently-used resident series until the budget
-    /// holds, never evicting `protect`.
-    fn evict_over_budget(&mut self, protect: usize) {
-        while self.resident_bytes > self.budget {
-            let victim = self
-                .handles
-                .iter()
-                .enumerate()
-                .filter(|(pos, h)| *pos != protect && h.series.is_some())
-                .min_by_key(|(_, h)| h.last_touch)
-                .map(|(pos, _)| pos);
-            let Some(pos) = victim else { break };
-            self.resident_bytes -= self.handles[pos].bytes;
-            self.handles[pos].series = None;
-            self.handles[pos].bytes = 0;
-            self.telemetry.inc(names::CACHE_EVICTIONS, 1);
-        }
-        self.telemetry
-            .set_gauge(names::RESIDENT_BYTES, self.resident_bytes);
-        let resident_days = self.handles.iter().filter(|h| h.series.is_some()).count();
-        self.telemetry
-            .set_gauge(names::RESIDENT_DAYS, resident_days as u64);
-    }
-
-    fn load(&mut self, pos: usize) -> Result<(), HealthError> {
-        if self.handles[pos].series.is_some() {
-            self.telemetry.inc(names::CACHE_HITS, 1);
-            self.touch(pos);
-            return Ok(());
-        }
-        self.telemetry.inc(names::CACHE_MISSES, 1);
-        let (path, day) = (self.handles[pos].path.clone(), self.handles[pos].day);
-        let text = std::fs::read_to_string(&path).map_err(|source| HealthError::Io {
-            path: path.clone(),
-            day: Some(day),
-            source,
-        })?;
-        let series = DaySeries::decode(&text).map_err(|detail| HealthError::Parse {
-            path: path.clone(),
-            day,
-            detail,
-        })?;
-        if series.day != day {
-            return Err(HealthError::Parse {
-                path,
-                day,
-                detail: format!("sidecar says day {}, file name says {day}", series.day),
-            });
-        }
-        let bytes = text.len() as u64;
-        self.handles[pos].series = Some(series);
-        self.handles[pos].bytes = bytes;
-        self.resident_bytes += bytes;
-        self.telemetry.inc(names::DAYS_OPENED, 1);
-        self.telemetry.inc(names::SERIES_BYTES_READ, bytes);
-        self.touch(pos);
-        self.evict_over_budget(pos);
-        Ok(())
+        self.archive.telemetry()
     }
 
     /// The day's health point (loaded lazily, cached under the budget).
-    pub fn series(&mut self, day: u32) -> Result<&DaySeries, HealthError> {
-        let pos = self.position(day)?;
-        self.load(pos)?;
-        // laces-lint: allow(panic-path) — load() just populated the handle
-        Ok(self.handles[pos].series.as_ref().expect("series resident"))
+    pub fn series(&mut self, day: u32) -> Result<Arc<DaySeries>, HealthError> {
+        let pos = self
+            .archive
+            .position(day)
+            .ok_or(HealthError::UnknownDay(day))?;
+        self.archive.get(pos, SERIES_SLOT, |archive| {
+            let path = archive.file(Artifact::HealthSeries, day);
+            let text = std::fs::read_to_string(&path).map_err(|source| HealthError::Io {
+                path: path.clone(),
+                day: Some(day),
+                source,
+            })?;
+            let series = DaySeries::decode(&text).map_err(|detail| HealthError::Parse {
+                path: path.clone(),
+                day,
+                detail,
+            })?;
+            if series.day != day {
+                return Err(HealthError::Parse {
+                    path,
+                    day,
+                    detail: format!("sidecar says day {}, file name says {day}", series.day),
+                });
+            }
+            let bytes = text.len() as u64;
+            archive.inc(names::SERIES_BYTES_READ, bytes);
+            Ok((series, bytes))
+        })
     }
 
     /// Resolve one metric on one (already-loaded) series. Names cover
@@ -336,12 +230,12 @@ impl HealthService {
     /// marks a day where the metric is absent (absences on degraded
     /// days are not withdrawals — check the day's degraded reasons).
     pub fn metric_history(&mut self, metric: &str) -> Result<Vec<(u32, Option<u64>)>, HealthError> {
-        self.telemetry.inc(names::QUERIES_SERVED, 1);
-        let days = self.days.clone();
+        self.archive.inc(names::QUERIES_SERVED, 1);
+        let days = self.archive.days().to_vec();
         let mut out = Vec::with_capacity(days.len());
         for day in days {
             let series = self.series(day)?;
-            out.push((day, Self::resolve(series, metric)));
+            out.push((day, Self::resolve(&series, metric)));
         }
         Ok(out)
     }
@@ -378,7 +272,7 @@ impl HealthService {
     /// surfaces (counters, gauges, degradation events — stages and
     /// histograms are not carried by the series).
     pub fn diff(&mut self, older_day: u32, newer_day: u32) -> Result<ReportDiff, HealthError> {
-        self.telemetry.inc(names::QUERIES_SERVED, 1);
+        self.archive.inc(names::QUERIES_SERVED, 1);
         let older = self.series(older_day)?.as_report();
         let newer = self.series(newer_day)?.as_report();
         Ok(older.diff(&newer))
@@ -386,17 +280,17 @@ impl HealthService {
 
     /// Every service day's series, in day order (for the detectors).
     pub fn all_series(&mut self) -> Result<Vec<DaySeries>, HealthError> {
-        let days = self.days.clone();
+        let days = self.archive.days().to_vec();
         let mut out = Vec::with_capacity(days.len());
         for day in days {
-            out.push(self.series(day)?.clone());
+            out.push((*self.series(day)?).clone());
         }
         Ok(out)
     }
 
     /// Run the anomaly-detector suite over the whole archive.
     pub fn findings(&mut self, cfg: &DetectorConfig) -> Result<Vec<HealthFinding>, HealthError> {
-        self.telemetry.inc(names::QUERIES_SERVED, 1);
+        self.archive.inc(names::QUERIES_SERVED, 1);
         let series = self.all_series()?;
         Ok(detect::run_all(&series, cfg))
     }
@@ -405,8 +299,9 @@ impl HealthService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::{SeriesInput, SERIES_VERSION};
+    use laces_health::series::{SeriesInput, SERIES_VERSION};
     use laces_trace::TraceReport;
+    use std::collections::BTreeMap;
 
     type AnyError = Box<dyn std::error::Error>;
 
@@ -448,8 +343,11 @@ mod tests {
     }
 
     fn write_sidecar(dir: &Path, series: &DaySeries) {
-        std::fs::write(dir.join(series_file_name(series.day)), series.encode())
-            .expect("write sidecar");
+        std::fs::write(
+            dir.join(Artifact::HealthSeries.file_name(series.day)),
+            series.encode(),
+        )
+        .expect("write sidecar");
     }
 
     fn seeded_dir(tag: &str, days: &[(u32, u64)]) -> PathBuf {
@@ -468,8 +366,11 @@ mod tests {
         std::fs::write(dir.join("census-day-12.health.series"), "short digits")?;
         std::fs::write(dir.join("census-day-0001x.health.series"), "junk")?;
         std::fs::write(dir.join("notes.health.series"), "junk")?;
-        let svc = HealthService::open(&dir).build()?;
+        std::fs::write(dir.join("census-day-00002.health.series.tmp"), "torn")?;
+        std::fs::create_dir_all(dir.join("census-day-00006.health.series"))?;
+        let mut svc = HealthService::open(&dir).build()?;
         assert_eq!(svc.days(), &[1, 3, 7]);
+        assert_eq!(svc.metric_history("probes_sent")?.len(), 3);
         Ok(())
     }
 
@@ -494,7 +395,7 @@ mod tests {
         write_sidecar(&dir, &{
             let mut s = day_series(5, 0);
             s.day = 6;
-            std::fs::write(dir.join(series_file_name(5)), s.encode())?;
+            std::fs::write(dir.join(Artifact::HealthSeries.file_name(5)), s.encode())?;
             day_series(9, 0)
         });
         let mut svc = HealthService::open(&dir).days(vec![1, 2]).build()?;
@@ -600,7 +501,7 @@ mod tests {
         let dir = tmpdir("version");
         let mut s = day_series(1, 0);
         s.version = SERIES_VERSION + 9;
-        std::fs::write(dir.join(series_file_name(1)), s.encode())?;
+        std::fs::write(dir.join(Artifact::HealthSeries.file_name(1)), s.encode())?;
         let mut svc = HealthService::open(&dir).build()?;
         match svc.series(1) {
             Err(HealthError::Parse { detail, .. }) => {

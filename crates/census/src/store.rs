@@ -17,7 +17,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use laces_obs::{DegradedReason, HistogramSnapshot, RunReport, StageReport};
-use laces_query::{build_index, index_file_name, IndexRecord, QueryError, SummaryInput};
+use laces_query::{build_index, discover, Artifact, IndexRecord, QueryError, SummaryInput};
 use serde::{Deserialize, Value};
 
 use crate::record::{CensusRecord, CensusStats, DailyCensus};
@@ -137,34 +137,8 @@ impl CensusStore {
         Ok(CensusStore { dir })
     }
 
-    fn day_path(&self, day: u32) -> PathBuf {
-        self.dir.join(format!("census-day-{day:05}.jsonl"))
-    }
-
-    fn index_path(&self, day: u32) -> PathBuf {
-        self.dir.join(index_file_name(day))
-    }
-
-    fn stats_path(&self, day: u32) -> PathBuf {
-        self.dir.join(format!("census-day-{day:05}.stats.json"))
-    }
-
-    fn telemetry_path(&self, day: u32) -> PathBuf {
-        self.dir
-            .join(format!("census-day-{day:05}.telemetry.jsonl"))
-    }
-
-    fn trace_path(&self, day: u32) -> PathBuf {
-        self.dir.join(format!("census-day-{day:05}.trace.jsonl"))
-    }
-
-    fn chrome_trace_path(&self, day: u32) -> PathBuf {
-        self.dir
-            .join(format!("census-day-{day:05}.trace.chrome.json"))
-    }
-
-    fn health_path(&self, day: u32) -> PathBuf {
-        self.dir.join(laces_health::service::series_file_name(day))
+    fn path_of(&self, artifact: Artifact, day: u32) -> PathBuf {
+        self.dir.join(artifact.file_name(day))
     }
 
     /// Persist one day's census: the records, the query-index sidecar
@@ -193,27 +167,27 @@ impl CensusStore {
                 degraded: census.degraded(),
             },
         )?;
-        write_atomic(&self.day_path(day), jsonl.as_bytes(), day)?;
-        write_atomic(&self.index_path(day), &idx, day)?;
+        write_atomic(&self.path_of(Artifact::Records, day), jsonl.as_bytes(), day)?;
+        write_atomic(&self.path_of(Artifact::Index, day), &idx, day)?;
         let stats = serde_json::to_string_pretty(&census.stats).map_err(|e| StoreError::Parse {
-            path: self.stats_path(day),
+            path: self.path_of(Artifact::Stats, day),
             day,
             detail: format!("stats do not serialise: {e}"),
         })?;
-        write_atomic(&self.stats_path(day), stats.as_bytes(), day)?;
+        write_atomic(&self.path_of(Artifact::Stats, day), stats.as_bytes(), day)?;
         write_atomic(
-            &self.telemetry_path(day),
+            &self.path_of(Artifact::Telemetry, day),
             census.stats.telemetry.to_jsonl().as_bytes(),
             day,
         )?;
         if census.stats.trace_report.enabled {
             write_atomic(
-                &self.trace_path(day),
+                &self.path_of(Artifact::Trace, day),
                 census.stats.trace_report.to_jsonl().as_bytes(),
                 day,
             )?;
             write_atomic(
-                &self.chrome_trace_path(day),
+                &self.path_of(Artifact::ChromeTrace, day),
                 census.stats.trace_report.to_chrome_json().as_bytes(),
                 day,
             )?;
@@ -235,7 +209,11 @@ impl CensusStore {
                 published: census.records.len() as u64,
             },
         );
-        write_atomic(&self.health_path(day), series.encode().as_bytes(), day)?;
+        write_atomic(
+            &self.path_of(Artifact::HealthSeries, day),
+            series.encode().as_bytes(),
+            day,
+        )?;
         Ok(())
     }
 
@@ -244,7 +222,7 @@ impl CensusStore {
     /// an older index version). Reads the day's JSONL, recovers each
     /// record's byte span, and writes a fresh sidecar atomically.
     pub fn reindex(&self, day: u32) -> Result<(), StoreError> {
-        let path = self.day_path(day);
+        let path = self.path_of(Artifact::Records, day);
         let body = std::fs::read_to_string(&path).map_err(|source| StoreError::Io {
             path: path.clone(),
             day: Some(day),
@@ -269,7 +247,7 @@ impl CensusStore {
         // The stats sidecar is optional (same policy as `load`); without
         // it the summary's probe counters are zero but the per-record
         // sections are exact.
-        let stats = std::fs::read_to_string(self.stats_path(day))
+        let stats = std::fs::read_to_string(self.path_of(Artifact::Stats, day))
             .ok()
             .and_then(|s| serde_json::from_str::<CensusStats>(&s).ok())
             .unwrap_or_default();
@@ -284,7 +262,7 @@ impl CensusStore {
                 degraded,
             },
         )?;
-        write_atomic(&self.index_path(day), &idx, day)
+        write_atomic(&self.path_of(Artifact::Index, day), &idx, day)
     }
 
     /// Start building a [`QueryService`](laces_query::QueryService) over
@@ -293,18 +271,18 @@ impl CensusStore {
         laces_query::QueryService::open(&self.dir)
     }
 
-    /// Start building a [`HealthService`](laces_health::HealthService)
+    /// Start building a [`HealthService`](crate::health::HealthService)
     /// over this store's `health.series` sidecars:
     /// `store.health().days(..).cache_budget(..).build()?`.
-    pub fn health(&self) -> laces_health::HealthServiceBuilder {
-        laces_health::HealthService::open(&self.dir)
+    pub fn health(&self) -> crate::health::HealthServiceBuilder {
+        crate::health::HealthService::open(&self.dir)
     }
 
     /// Read one day's `health.series` sidecar directly — the light-weight
-    /// path when a [`HealthService`](laces_health::HealthService) handle
+    /// path when a [`HealthService`](crate::health::HealthService) handle
     /// is not needed.
     pub fn load_health(&self, day: u32) -> Result<laces_health::DaySeries, StoreError> {
-        let path = self.health_path(day);
+        let path = self.path_of(Artifact::HealthSeries, day);
         let text = std::fs::read_to_string(&path).map_err(|source| StoreError::Io {
             path: path.clone(),
             day: Some(day),
@@ -324,7 +302,7 @@ impl CensusStore {
     /// or `degraded`. Unknown kinds are rejected so schema drift fails
     /// loudly instead of silently dropping metrics.
     pub fn load_telemetry(&self, day: u32) -> Result<RunReport, StoreError> {
-        let path = self.telemetry_path(day);
+        let path = self.path_of(Artifact::Telemetry, day);
         let body = std::fs::read_to_string(&path).map_err(|source| StoreError::Io {
             path: path.clone(),
             day: Some(day),
@@ -401,7 +379,7 @@ impl CensusStore {
 
     /// Load one day.
     pub fn load(&self, day: u32) -> Result<DailyCensus, StoreError> {
-        let path = self.day_path(day);
+        let path = self.path_of(Artifact::Records, day);
         let body = std::fs::read_to_string(&path).map_err(|source| StoreError::Io {
             path: path.clone(),
             day: Some(day),
@@ -412,7 +390,7 @@ impl CensusStore {
             day,
             detail: e.to_string(),
         })?;
-        if let Ok(stats) = std::fs::read_to_string(self.stats_path(day)) {
+        if let Ok(stats) = std::fs::read_to_string(self.path_of(Artifact::Stats, day)) {
             if let Ok(stats) = serde_json::from_str::<CensusStats>(&stats) {
                 census.stats = stats;
             }
@@ -420,45 +398,17 @@ impl CensusStore {
         Ok(census)
     }
 
-    /// Days present in the store, sorted and deduplicated.
-    ///
-    /// Only regular files named exactly `census-day-NNNNN.jsonl` (at least
-    /// five digits, digits only) count as days; the store's own sidecars
-    /// (`.idx`, `.stats.json`, `.telemetry.jsonl`, traces), in-flight
-    /// `*.tmp` files from [`save`](Self::save), subdirectories and any
-    /// foreign files are skipped, so a polluted directory never invents or
-    /// hides days.
+    /// Days present in the store, ascending: the regular files named
+    /// exactly `census-day-NNNNN.jsonl` ([`discover`] over
+    /// [`Artifact::Records`]), so the store's own sidecars, in-flight
+    /// `*.tmp` files from [`save`](Self::save), subdirectories and foreign
+    /// files never invent or hide days.
     pub fn days(&self) -> Result<Vec<u32>, StoreError> {
-        let io_err = |source: std::io::Error| StoreError::Io {
+        discover(&self.dir, Artifact::Records).map_err(|source| StoreError::Io {
             path: self.dir.clone(),
             day: None,
             source,
-        };
-        let mut days = Vec::new();
-        for entry in std::fs::read_dir(&self.dir).map_err(io_err)? {
-            let entry = entry.map_err(io_err)?;
-            let is_file = entry.file_type().map(|t| t.is_file()).unwrap_or(false);
-            if !is_file {
-                continue;
-            }
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let Some(rest) = name.strip_prefix("census-day-") else {
-                continue;
-            };
-            let Some(num) = rest.strip_suffix(".jsonl") else {
-                continue;
-            };
-            if num.len() < 5 || !num.bytes().all(|b| b.is_ascii_digit()) {
-                continue;
-            }
-            if let Ok(d) = num.parse() {
-                days.push(d);
-            }
-        }
-        days.sort_unstable();
-        days.dedup();
-        Ok(days)
+        })
     }
 
     /// Directory backing the store.
@@ -532,6 +482,7 @@ mod tests {
     use crate::record::{CensusRecord, GcdSummary};
     use laces_core::classify::Class;
     use laces_gcd::GcdClass;
+    use laces_obs::fnv1a;
     use laces_packet::{PrefixKey, Protocol};
     use std::collections::BTreeMap as Map;
 
@@ -798,6 +749,107 @@ mod tests {
         let err = store.load(8).unwrap_err();
         assert!(matches!(err, StoreError::Parse { day: 8, .. }));
         assert!(err.to_string().contains("census-day-00008.jsonl"));
+        Ok(())
+    }
+
+    /// The read path's cache trajectory, frozen: a seeded mix of every
+    /// query and health call over six saved days of different sizes,
+    /// under budgets that force both services to evict. The answers'
+    /// FNV-1a and every `query.*` and `health.*` counter and gauge must
+    /// stay as recorded, so a change to the day cache's hit, miss,
+    /// eviction or residency rules shows here.
+    #[test]
+    fn read_path_cache_trajectory_is_frozen() -> Result<(), AnyError> {
+        let store = CensusStore::open(tmpdir("trajectory"))?;
+        let days = [1u32, 2, 3, 5, 8, 13];
+        for (day, n) in days.into_iter().zip([3u32, 12, 30, 7, 48, 20]) {
+            let mut census = sample_census(day, n);
+            let t = &mut census.stats.telemetry;
+            t.inc("ICMPv4.fabric.replies_delivered", 900 + u64::from(day));
+            if day == 8 {
+                t.inc("ICMPv4.fabric.dropped", 60);
+                t.add_degraded(DegradedReason::WorkerCrashed { worker: 2 });
+            }
+            store.save(&census)?;
+        }
+        let size = |day: u32, ext: &str| -> Result<u64, std::io::Error> {
+            let path = store.path().join(format!("census-day-{day:05}.{ext}"));
+            Ok(std::fs::metadata(path)?.len())
+        };
+        let mut index_bytes = 0;
+        let mut series_max = 0;
+        for day in days {
+            index_bytes += size(day, "idx")?;
+            series_max = series_max.max(size(day, "health.series")?);
+        }
+        let mut qs = store.query().cache_budget(index_bytes / 3).build()?;
+        let mut hs = store.health().cache_budget(2 * series_max).build()?;
+        let detectors = crate::health::DetectorConfig::standard(7);
+        let metrics = ["published", "replies", "loss_permille", "attributed_loss"];
+
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut answers = String::new();
+        for _ in 0..400 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let day = days[(state % 6) as usize];
+            let prefix = PrefixKey::V4(laces_packet::Prefix24::from_network(
+                ((state >> 8) % 50 + 1) as u32 * 256,
+            ));
+            let answer = match (state >> 32) % 10 {
+                0 => format!("{:?}", qs.point(day, prefix)?),
+                1 => format!("{:?}", qs.record_json(day, prefix)?),
+                2 => format!("{:?}", qs.history(prefix)?),
+                3 => format!("{:?}", qs.sites(day)?),
+                4 => {
+                    let i = (state >> 16) as usize % (days.len() - 1);
+                    format!("{:?}", qs.diff(days[i], days[i + 1])?)
+                }
+                5 => format!("{:?}", qs.asn_ranking(day)?),
+                6 => format!("{:?}", qs.summary(day)?),
+                7 => {
+                    let metric = metrics[(state >> 40) as usize % metrics.len()];
+                    format!("{:?}", hs.metric_history(metric)?)
+                }
+                8 => format!("{:?}", hs.series(day)?),
+                _ => format!("{:?}", hs.findings(&detectors)?),
+            };
+            answers.push_str(&answer);
+            answers.push('\n');
+        }
+
+        let mut observed = vec![format!("answers={:#018x}", fnv1a(answers.as_bytes()))];
+        for report in [qs.telemetry(), hs.telemetry()] {
+            for (name, value) in report.counters.iter().chain(&report.gauges) {
+                observed.push(format!("{name}={value}"));
+            }
+        }
+        let frozen = [
+            "answers=0x4d388a06dc918b38",
+            "query.cache_evictions=396",
+            // One hit fewer per section loaded than the per-service caches
+            // this replaced: they looked the header up again after each
+            // section load.
+            "query.cache_hits=1707",
+            "query.cache_misses=1071",
+            "query.days_opened=399",
+            "query.index_bytes_read=451962",
+            "query.point_lookups=314",
+            "query.record_bytes_read=1964",
+            "query.sections_loaded=672",
+            "query.resident_bytes=2653",
+            "query.resident_days=3",
+            "health.cache_evictions=455",
+            "health.cache_hits=23",
+            "health.cache_misses=457",
+            "health.days_opened=457",
+            "health.queries_served=74",
+            "health.series_bytes_read=166503",
+            "health.resident_bytes=799",
+            "health.resident_days=2",
+        ];
+        assert_eq!(observed, frozen);
         Ok(())
     }
 

@@ -31,6 +31,7 @@ use laces_core::orchestrator::{run_measurement, run_measurement_threaded};
 use laces_core::results::MeasurementOutcome;
 use laces_core::spec::MeasurementSpec;
 use laces_netsim::{World, WorldConfig};
+use laces_obs::Fnv;
 use laces_packet::{PrefixKey, Protocol};
 use laces_trace::TraceConfig;
 
@@ -151,18 +152,15 @@ fn sharded_pipeline_matches_the_threaded_reference() {
 /// delivered, the record count, then one formatted line per record in
 /// canonical order.
 fn pipeline_fingerprint(outcome: &MeasurementOutcome) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(&outcome.probes_sent.to_le_bytes());
-    eat(&outcome
-        .telemetry
-        .counter("fabric.replies_delivered")
-        .to_le_bytes());
-    eat(&(outcome.records.len() as u64).to_le_bytes());
+    let mut h = Fnv::new();
+    h.update(&outcome.probes_sent.to_le_bytes());
+    h.update(
+        &outcome
+            .telemetry
+            .counter("fabric.replies_delivered")
+            .to_le_bytes(),
+    );
+    h.update(&(outcome.records.len() as u64).to_le_bytes());
     for r in &outcome.records {
         let line = format!(
             "{:?}|{:?}|{}|{:?}|{:?}|{}|{:?}",
@@ -174,9 +172,9 @@ fn pipeline_fingerprint(outcome: &MeasurementOutcome) -> u64 {
             r.rx_time_ms,
             r.chaos_identity
         );
-        eat(line.as_bytes());
+        h.update(line.as_bytes());
     }
-    h
+    h.finish()
 }
 
 /// The pre-batching scalar pipeline (one `send_probe_observed` and one

@@ -26,7 +26,7 @@
 //!   literature) vs *site-churn* (both moved — the measurement is
 //!   suspect).
 
-use laces_obs::{Degraded, DegradedReason, RunReport};
+use laces_obs::{Degraded, DegradedReason, Fnv, RunReport};
 use serde::{Deserialize, Serialize};
 
 use crate::series::DaySeries;
@@ -398,8 +398,8 @@ fn detect_site_churn(series: &[DaySeries], cfg: &DetectorConfig, out: &mut Vec<H
 }
 
 /// Run the full detector suite over `series` (must be sorted by day —
-/// [`crate::HealthService`] guarantees this). Findings come back sorted
-/// by `(day, detector, metric)` and deduplicated.
+/// `laces_census::health::HealthService` guarantees this). Findings come
+/// back sorted by `(day, detector, metric)` and deduplicated.
 pub fn run_all(series: &[DaySeries], cfg: &DetectorConfig) -> Vec<HealthFinding> {
     let mut out = Vec::new();
     detect_attributed_loss(series, cfg, &mut out);
@@ -417,19 +417,13 @@ pub fn run_all(series: &[DaySeries], cfg: &DetectorConfig) -> Vec<HealthFinding>
 /// the same series and config produce the same fingerprint; a config
 /// change moves it even when the finding set happens to match.
 pub fn findings_fingerprint(findings: &[HealthFinding], cfg: &DetectorConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&cfg.seed.to_le_bytes());
+    let mut h = Fnv::new();
+    h.update(&cfg.seed.to_le_bytes());
     for f in findings {
-        eat(f.explain().as_bytes());
-        eat(&[0]);
+        h.update(f.explain().as_bytes());
+        h.update(&[0]);
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -5,17 +5,15 @@
 //! spikes, throughput regressions, degraded-day streaks, site-count
 //! collapses. Per-run telemetry ([`laces_obs::RunReport`]) and per-probe
 //! tracing ([`laces_trace::TraceReport`]) exist, but neither aggregates
-//! across runs nor watches a run in flight. This crate is that layer:
+//! across runs nor watches a run in flight. This crate is that layer,
+//! and it does no file I/O: the census store writes the series, and
+//! `laces_census::health::HealthService` reads them back through the
+//! store's archive.
 //!
 //! * [`series`] — the compact, versioned per-day [`DaySeries`] health
 //!   point, derived at publish time from the day's telemetry, trace
 //!   `dropped` maps and census stats, and written by `CensusStore::save`
 //!   as a `census-day-NNNNN.health.series` sidecar;
-//! * [`service`] — [`HealthService`], a lazily-loading, budget-capped
-//!   handle over a store directory's sidecars (mirroring
-//!   `laces_query::QueryService`'s design) answering metric-history,
-//!   rolling-baseline and day-over-day [`laces_obs::RunReport::diff`]
-//!   queries;
 //! * [`detect`] — seeded, pure anomaly detectors over the series
 //!   (robust z-score loss spike, throughput regression vs a
 //!   trailing-window median, degraded-streak, site-churn vs
@@ -49,9 +47,7 @@ pub mod detect;
 pub mod monitor;
 pub mod prometheus;
 pub mod series;
-pub mod service;
 
 pub use detect::{DetectorConfig, HealthFinding, Severity};
 pub use monitor::{Monitor, MonitorConfig, MonitorLog, MonitorSummary, TickSnapshot, WorkerSkew};
 pub use series::{DaySeries, SeriesInput, SERIES_VERSION};
-pub use service::{HealthError, HealthService, HealthServiceBuilder, DEFAULT_CACHE_BUDGET};

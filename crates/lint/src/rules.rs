@@ -603,7 +603,7 @@ mod tests {
         assert!(Rule::WallClock.applies_to("crates/core/src/worker.rs"));
         assert!(!Rule::WallClock.applies_to("crates/obs/src/stage.rs"));
         assert!(!Rule::WallClock.applies_to("crates/bench/src/artifacts.rs"));
-        assert!(!Rule::WallClock.applies_to("crates/netsim/examples/scale_test.rs"));
+        assert!(!Rule::WallClock.applies_to("examples/quickstart.rs"));
         // R2 applies even to examples.
         assert!(Rule::AmbientRng.applies_to("examples/quickstart.rs"));
         // R3 covers serialized-path crates only.

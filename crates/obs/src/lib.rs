@@ -15,7 +15,8 @@
 //!   (`MeasurementOutcome`, `GcdReport`, `CensusStats`) carries, with a
 //!   JSONL encoding for publication alongside the census store;
 //! * [`Degraded`] / [`DegradedReason`] — the unified degraded surface: not
-//!   a bare bool but the list of telemetry events that degraded the run.
+//!   a bare bool but the list of telemetry events that degraded the run;
+//! * [`fnv1a`] / [`Fnv`] — the workspace's one fingerprint hash.
 //!
 //! # Determinism rules
 //!
@@ -37,12 +38,14 @@
 #![forbid(unsafe_code)]
 
 pub mod degraded;
+pub mod fnv;
 pub mod metrics;
 pub mod names;
 pub mod report;
 pub mod stage;
 
 pub use degraded::{Degraded, DegradedReason};
+pub use fnv::{fnv1a, Fnv};
 pub use metrics::{Counter, Histogram, HistogramSnapshot};
 pub use report::{GaugeMerge, ReportDiff, RunReport};
 pub use stage::{ShardStages, SimClock, StageReport, StageTimer};

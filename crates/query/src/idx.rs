@@ -39,6 +39,7 @@
 
 use std::collections::BTreeMap;
 
+use laces_obs::fnv1a;
 use laces_packet::{Prefix24, Prefix48, PrefixKey};
 
 use crate::error::{QueryError, INDEX_VERSION};
@@ -66,21 +67,6 @@ pub(crate) const FLAG_GCD_CONFIRMED: u8 = 1 << 1;
 pub(crate) const FLAG_HAS_GCD: u8 = 1 << 2;
 pub(crate) const FLAG_PARTIAL: u8 = 1 << 3;
 pub(crate) const FLAG_HAS_ASN: u8 = 1 << 4;
-
-/// The sidecar's file name for a day, next to `census-day-NNNNN.jsonl`.
-pub fn index_file_name(day: u32) -> String {
-    format!("census-day-{day:05}.idx")
-}
-
-/// FNV-1a over a byte slice — the workspace's standard fingerprint.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// What the index needs to know about one published record. The census
 /// store derives these while serialising the day's JSONL (offsets fall out

@@ -9,11 +9,16 @@
 //! versioned binary index sidecar next to each day and [`QueryService`]
 //! answers every query kind from the touched index sections alone.
 //!
+//! * [`archive`] — what every reader of a store shares: the per-day
+//!   file-name table ([`Artifact`]), strict day discovery ([`discover`])
+//!   and the byte-budgeted LRU of decoded sections ([`Archive`]) that
+//!   this crate's query service and the census crate's health service
+//!   are views over.
 //! * [`idx`] — the `census-day-NNNNN.idx` sidecar format v1: fingerprinted
 //!   header, sorted prefix→record-span table, per-AS and per-site
 //!   postings, day summary.
 //! * [`service`] — the [`QueryService`] handle: builder-opened, lazy
-//!   section reads, LRU day cache, typed [`QueryError`] results.
+//!   section reads through the archive, typed [`QueryError`] results.
 //! * [`ranking`] — the Table 6 [`AsnRank`] shape shared with the eager
 //!   census-side ranking.
 //! * [`diff_types`] — the [`CensusDiff`]/[`FootprintChange`] shapes shared
@@ -23,15 +28,17 @@
 
 #![forbid(unsafe_code)]
 
+pub mod archive;
 pub mod diff_types;
 pub mod error;
 pub mod idx;
 pub mod ranking;
 pub mod service;
 
+pub use archive::{discover, Archive, Artifact, CacheNames};
 pub use diff_types::{CensusDiff, FootprintChange};
 pub use error::{QueryError, INDEX_VERSION};
-pub use idx::{build_index, index_file_name, DaySummary, IndexRecord, SummaryInput};
+pub use idx::{build_index, DaySummary, IndexRecord, SummaryInput};
 pub use ranking::{rank_from_counts, top_k_share, AsnRank};
 pub use service::{
     DayArtifacts, PrefixPoint, QueryService, QueryServiceBuilder, DEFAULT_CACHE_BUDGET,

@@ -4,29 +4,30 @@
 //! prefix history, AS ranking, day-over-day diff, per-site AT lists, day
 //! summaries — from the per-day index sidecars, reading only the touched
 //! sections of the touched days plus the one record span a full-record
-//! fetch needs. An LRU day cache (bounded by [`cache_budget`]) keeps hot
-//! days resident; answers are byte-identical regardless of cache state,
-//! open order, or day-visit order, because every answer is a pure function
-//! of the on-disk sidecars.
+//! fetch needs. It is a view over an [`Archive`] of the index sidecars,
+//! whose LRU day cache (bounded by [`cache_budget`]) keeps hot days
+//! resident; answers are byte-identical regardless of cache state, open
+//! order, or day-visit order, because every answer is a pure function of
+//! the on-disk sidecars.
 //!
 //! [`cache_budget`]: QueryServiceBuilder::cache_budget
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use laces_obs::{names, RunReport};
+use laces_obs::{fnv1a, names, RunReport};
 use laces_packet::PrefixKey;
 
+use crate::archive::{Archive, Artifact, CacheNames};
 use crate::diff_types::{CensusDiff, FootprintChange};
 use crate::error::QueryError;
 use crate::idx::{
     decode_as_postings, decode_city_ids, decode_city_postings, decode_city_strs, decode_header,
-    decode_prefixes, decode_summary, encode_key, fnv1a, index_file_name, AsPosting, DaySummary,
-    Entry, Header, Postings, FLAG_ANYCAST_BASED, FLAG_GCD_CONFIRMED, FLAG_HAS_GCD, FLAG_PARTIAL,
-    HEADER_LEN, SEC_AS_POSTINGS, SEC_CITY_IDS, SEC_CITY_POSTINGS, SEC_CITY_STRS, SEC_PREFIXES,
-    SEC_SUMMARY,
+    decode_prefixes, decode_summary, encode_key, DaySummary, Entry, Header, FLAG_ANYCAST_BASED,
+    FLAG_GCD_CONFIRMED, FLAG_HAS_GCD, FLAG_PARTIAL, HEADER_LEN, N_SECTIONS, SEC_AS_POSTINGS,
+    SEC_CITY_IDS, SEC_CITY_POSTINGS, SEC_CITY_STRS, SEC_PREFIXES, SEC_SUMMARY,
 };
 use crate::ranking::{rank_from_counts, AsnRank};
 
@@ -76,10 +77,7 @@ impl QueryServiceBuilder {
     /// Restrict the service to these days (default: every indexed day in
     /// the store). The service's day order is always ascending.
     pub fn days(mut self, days: impl IntoIterator<Item = u32>) -> Self {
-        let mut v: Vec<u32> = days.into_iter().collect();
-        v.sort_unstable();
-        v.dedup();
-        self.days = Some(v);
+        self.days = Some(days.into_iter().collect());
         self
     }
 
@@ -96,75 +94,29 @@ impl QueryServiceBuilder {
     /// the requested day set. No index bytes are read yet — headers and
     /// sections load lazily on first touch.
     pub fn build(self) -> Result<QueryService, QueryError> {
-        let mut available: Vec<u32> = Vec::new();
-        let dir_iter = std::fs::read_dir(&self.dir).map_err(|source| QueryError::Io {
-            path: self.dir.clone(),
-            source,
-        })?;
-        for entry in dir_iter {
-            let entry = entry.map_err(|source| QueryError::Io {
-                path: self.dir.clone(),
-                source,
-            })?;
-            let is_file = entry.file_type().map(|t| t.is_file()).unwrap_or(false);
-            if !is_file {
-                continue;
-            }
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(day) = parse_index_name(&name) {
-                available.push(day);
-            }
-        }
-        available.sort_unstable();
-        available.dedup();
-        let days = match self.days {
-            Some(requested) => {
-                for d in &requested {
-                    if available.binary_search(d).is_err() {
-                        return Err(QueryError::MissingIndex {
-                            day: *d,
-                            path: self.dir.join(index_file_name(*d)),
-                        });
-                    }
-                }
-                requested
-            }
-            None => available,
-        };
-        if days.is_empty() {
-            return Err(QueryError::NoDays);
-        }
-        let handles = days
-            .iter()
-            .map(|&day| DayHandle::new(&self.dir, day))
-            .collect();
-        Ok(QueryService {
-            dir: self.dir,
-            days,
-            handles,
-            cache_budget: self.cache_budget,
-            resident_bytes: 0,
-            clock: 0,
-            telemetry: RunReport::new(),
-        })
+        let archive = Archive::open(
+            self.dir,
+            Artifact::Index,
+            self.days,
+            self.cache_budget,
+            CACHE_NAMES,
+        )?;
+        Ok(QueryService { archive })
     }
 }
 
-/// Strict `census-day-NNNNN.idx` name → day. At least five digits, digits
-/// only — foreign files never parse.
-fn parse_index_name(name: &str) -> Option<u32> {
-    let rest = name.strip_prefix("census-day-")?;
-    let num = rest.strip_suffix(".idx")?;
-    if num.len() < 5 || !num.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    num.parse().ok()
-}
+/// The query view's cache metrics.
+const CACHE_NAMES: CacheNames = CacheNames {
+    hits: names::query::CACHE_HITS,
+    misses: names::query::CACHE_MISSES,
+    evictions: names::query::CACHE_EVICTIONS,
+    days_opened: names::query::DAYS_OPENED,
+    resident_bytes: names::query::RESIDENT_BYTES,
+    resident_days: names::query::RESIDENT_DAYS,
+};
 
-/// The decoded `AS_POSTINGS` section: the per-AS rows plus the flat
-/// record-position postings they index into.
-type AsPostingsSection = (Vec<AsPosting>, Vec<u32>);
+/// The archive slot of the index header; section `SEC_*` has slot `SEC_*`.
+const HEADER_SLOT: usize = N_SECTIONS;
 
 /// One day's on-disk artifact map plus its degraded flag — the
 /// operational "what does this day carry" answer, from
@@ -193,96 +145,11 @@ pub struct DayArtifacts {
     pub health_series: Option<PathBuf>,
 }
 
-/// Per-day lazy state: paths always, header and sections on first touch.
-#[derive(Debug)]
-struct DayHandle {
-    day: u32,
-    idx_path: PathBuf,
-    jsonl_path: PathBuf,
-    header: Option<Header>,
-    prefixes: Option<Arc<Vec<Entry>>>,
-    cities: Option<Arc<Vec<String>>>,
-    city_ids: Option<Arc<Vec<u32>>>,
-    city_postings: Option<Arc<Postings>>,
-    as_postings: Option<Arc<AsPostingsSection>>,
-    summary: Option<Arc<DaySummary>>,
-    resident: u64,
-    last_touch: u64,
-}
-
-impl DayHandle {
-    fn new(dir: &Path, day: u32) -> Self {
-        DayHandle {
-            day,
-            idx_path: dir.join(index_file_name(day)),
-            jsonl_path: dir.join(format!("census-day-{day:05}.jsonl")),
-            header: None,
-            prefixes: None,
-            cities: None,
-            city_ids: None,
-            city_postings: None,
-            as_postings: None,
-            summary: None,
-            resident: 0,
-            last_touch: 0,
-        }
-    }
-
-    fn drop_resident(&mut self) -> u64 {
-        let freed = self.resident;
-        self.header = None;
-        self.prefixes = None;
-        self.cities = None;
-        self.city_ids = None;
-        self.city_postings = None;
-        self.as_postings = None;
-        self.summary = None;
-        self.resident = 0;
-        freed
-    }
-}
-
 /// The indexed census read handle. All methods take `&mut self` (the
 /// cache mutates); answers are pure functions of the sidecar files.
 #[derive(Debug)]
 pub struct QueryService {
-    dir: PathBuf,
-    days: Vec<u32>,
-    handles: Vec<DayHandle>,
-    cache_budget: u64,
-    resident_bytes: u64,
-    clock: u64,
-    telemetry: RunReport,
-}
-
-/// Read `len` bytes at `offset` of `path` — the service's only file
-/// access primitive; nothing ever reads a whole day file.
-fn read_at(path: &Path, offset: u64, len: usize, day: u32) -> Result<Vec<u8>, QueryError> {
-    let map_io = |source: std::io::Error| {
-        if source.kind() == std::io::ErrorKind::NotFound {
-            QueryError::MissingIndex {
-                day,
-                path: path.to_path_buf(),
-            }
-        } else {
-            QueryError::Io {
-                path: path.to_path_buf(),
-                source,
-            }
-        }
-    };
-    let mut f = std::fs::File::open(path).map_err(map_io)?;
-    f.seek(SeekFrom::Start(offset)).map_err(map_io)?;
-    let mut buf = vec![0u8; len];
-    f.read_exact(&mut buf)
-        .map_err(|source| QueryError::Corrupt {
-            day,
-            detail: format!(
-                "short read at {offset}+{len} of {}: {source}",
-                path.display()
-            ),
-        })?;
-    Ok(buf)
+    archive: Archive,
 }
 
 impl QueryService {
@@ -298,200 +165,60 @@ impl QueryService {
 
     /// The days this service answers for, ascending.
     pub fn days(&self) -> &[u32] {
-        &self.days
+        self.archive.days()
     }
 
     /// The store directory.
     pub fn path(&self) -> &Path {
-        &self.dir
+        self.archive.dir()
     }
 
     /// Query-side telemetry: lookup and cache counters plus residency
     /// gauges, in the workspace's standard [`RunReport`] shape.
     pub fn telemetry(&self) -> &RunReport {
-        &self.telemetry
+        self.archive.telemetry()
     }
 
     /// Drop every resident section (the cache, not the service). Answers
     /// after a clear are identical to answers before it.
     pub fn clear_cache(&mut self) {
-        for h in &mut self.handles {
-            h.drop_resident();
-        }
-        self.resident_bytes = 0;
-        self.update_gauges();
+        self.archive.clear();
     }
-
-    // -- cache plumbing -----------------------------------------------------
 
     fn pos_of(&self, day: u32) -> Result<usize, QueryError> {
-        self.days
-            .binary_search(&day)
-            .map_err(|_| QueryError::UnknownDay { day })
+        self.archive
+            .position(day)
+            .ok_or(QueryError::UnknownDay { day })
     }
 
-    fn touch(&mut self, pos: usize) {
-        self.clock += 1;
-        self.handles[pos].last_touch = self.clock;
-    }
-
-    fn update_gauges(&mut self) {
-        self.telemetry
-            .set_gauge(names::query::RESIDENT_BYTES, self.resident_bytes);
-        let resident_days = self.handles.iter().filter(|h| h.resident > 0).count();
-        self.telemetry
-            .set_gauge(names::query::RESIDENT_DAYS, resident_days as u64);
-    }
-
-    fn account(&mut self, pos: usize, bytes: u64) {
-        self.handles[pos].resident += bytes;
-        self.resident_bytes += bytes;
-        self.evict_over_budget(pos);
-        self.update_gauges();
-    }
-
-    /// Evict least-recently-touched days until within budget. The day at
-    /// `protect` (the one being served) is never evicted.
-    fn evict_over_budget(&mut self, protect: usize) {
-        while self.resident_bytes > self.cache_budget {
-            let victim = self
-                .handles
-                .iter()
-                .enumerate()
-                .filter(|(i, h)| *i != protect && h.resident > 0)
-                .min_by_key(|(_, h)| h.last_touch)
-                .map(|(i, _)| i);
-            let Some(v) = victim else { break };
-            let freed = self.handles[v].drop_resident();
-            self.resident_bytes -= freed;
-            self.telemetry.inc(names::query::CACHE_EVICTIONS, 1);
-        }
-    }
-
-    fn header(&mut self, pos: usize) -> Result<Header, QueryError> {
-        self.touch(pos);
-        if let Some(h) = self.handles[pos].header {
-            self.telemetry.inc(names::query::CACHE_HITS, 1);
-            return Ok(h);
-        }
-        self.telemetry.inc(names::query::CACHE_MISSES, 1);
-        let day = self.handles[pos].day;
-        let path = self.handles[pos].idx_path.clone();
-        let bytes = read_at(&path, 0, HEADER_LEN, day)?;
-        let h = decode_header(&bytes, day)?;
-        self.handles[pos].header = Some(h);
-        self.telemetry.inc(names::query::DAYS_OPENED, 1);
-        self.telemetry
-            .inc(names::query::INDEX_BYTES_READ, HEADER_LEN as u64);
-        self.account(pos, HEADER_LEN as u64);
-        Ok(h)
-    }
-
-    fn read_section(&mut self, pos: usize, sec: usize) -> Result<Vec<u8>, QueryError> {
-        let h = self.header(pos)?;
-        let day = self.handles[pos].day;
-        let (offset, len, fp) = h.sections[sec];
-        let path = self.handles[pos].idx_path.clone();
-        let bytes = read_at(&path, offset, len as usize, day)?;
-        if fnv1a(&bytes) != fp {
-            return Err(QueryError::Corrupt {
-                day,
-                detail: format!("section {sec} fingerprint mismatch"),
-            });
-        }
-        self.telemetry.inc(names::query::SECTIONS_LOADED, 1);
-        self.telemetry.inc(names::query::INDEX_BYTES_READ, len);
-        Ok(bytes)
-    }
-
-    fn prefixes(&mut self, pos: usize) -> Result<Arc<Vec<Entry>>, QueryError> {
-        self.touch(pos);
-        if let Some(p) = &self.handles[pos].prefixes {
-            self.telemetry.inc(names::query::CACHE_HITS, 1);
-            return Ok(Arc::clone(p));
-        }
-        self.telemetry.inc(names::query::CACHE_MISSES, 1);
-        let bytes = self.read_section(pos, SEC_PREFIXES)?;
-        let h = self.header(pos)?;
-        let arc = Arc::new(decode_prefixes(&bytes, &h)?);
-        self.handles[pos].prefixes = Some(Arc::clone(&arc));
-        self.account(pos, bytes.len() as u64);
-        Ok(arc)
-    }
-
-    fn cities(&mut self, pos: usize) -> Result<Arc<Vec<String>>, QueryError> {
-        self.touch(pos);
-        if let Some(c) = &self.handles[pos].cities {
-            self.telemetry.inc(names::query::CACHE_HITS, 1);
-            return Ok(Arc::clone(c));
-        }
-        self.telemetry.inc(names::query::CACHE_MISSES, 1);
-        let bytes = self.read_section(pos, SEC_CITY_STRS)?;
-        let h = self.header(pos)?;
-        let arc = Arc::new(decode_city_strs(&bytes, &h)?);
-        self.handles[pos].cities = Some(Arc::clone(&arc));
-        self.account(pos, bytes.len() as u64);
-        Ok(arc)
-    }
-
-    fn city_ids(&mut self, pos: usize) -> Result<Arc<Vec<u32>>, QueryError> {
-        self.touch(pos);
-        if let Some(c) = &self.handles[pos].city_ids {
-            self.telemetry.inc(names::query::CACHE_HITS, 1);
-            return Ok(Arc::clone(c));
-        }
-        self.telemetry.inc(names::query::CACHE_MISSES, 1);
-        let bytes = self.read_section(pos, SEC_CITY_IDS)?;
-        let h = self.header(pos)?;
-        let arc = Arc::new(decode_city_ids(&bytes, &h)?);
-        self.handles[pos].city_ids = Some(Arc::clone(&arc));
-        self.account(pos, bytes.len() as u64);
-        Ok(arc)
-    }
-
-    fn city_postings(&mut self, pos: usize) -> Result<Arc<Postings>, QueryError> {
-        self.touch(pos);
-        if let Some(p) = &self.handles[pos].city_postings {
-            self.telemetry.inc(names::query::CACHE_HITS, 1);
-            return Ok(Arc::clone(p));
-        }
-        self.telemetry.inc(names::query::CACHE_MISSES, 1);
-        let bytes = self.read_section(pos, SEC_CITY_POSTINGS)?;
-        let h = self.header(pos)?;
-        let arc = Arc::new(decode_city_postings(&bytes, &h)?);
-        self.handles[pos].city_postings = Some(Arc::clone(&arc));
-        self.account(pos, bytes.len() as u64);
-        Ok(arc)
-    }
-
-    fn as_postings(&mut self, pos: usize) -> Result<Arc<AsPostingsSection>, QueryError> {
-        self.touch(pos);
-        if let Some(p) = &self.handles[pos].as_postings {
-            self.telemetry.inc(names::query::CACHE_HITS, 1);
-            return Ok(Arc::clone(p));
-        }
-        self.telemetry.inc(names::query::CACHE_MISSES, 1);
-        let bytes = self.read_section(pos, SEC_AS_POSTINGS)?;
-        let h = self.header(pos)?;
-        let arc = Arc::new(decode_as_postings(&bytes, &h)?);
-        self.handles[pos].as_postings = Some(Arc::clone(&arc));
-        self.account(pos, bytes.len() as u64);
-        Ok(arc)
-    }
-
-    fn summary_arc(&mut self, pos: usize) -> Result<Arc<DaySummary>, QueryError> {
-        self.touch(pos);
-        if let Some(s) = &self.handles[pos].summary {
-            self.telemetry.inc(names::query::CACHE_HITS, 1);
-            return Ok(Arc::clone(s));
-        }
-        self.telemetry.inc(names::query::CACHE_MISSES, 1);
-        let bytes = self.read_section(pos, SEC_SUMMARY)?;
-        let h = self.header(pos)?;
-        let arc = Arc::new(decode_summary(&bytes, &h)?);
-        self.handles[pos].summary = Some(Arc::clone(&arc));
-        self.account(pos, bytes.len() as u64);
-        Ok(arc)
+    /// Index section `sec` of the day at `pos`, decoded and cached; the
+    /// header it is decoded against is one more cached section.
+    fn section<T: Any + Send + Sync>(
+        &mut self,
+        pos: usize,
+        sec: usize,
+        decode: fn(&[u8], &Header) -> Result<T, QueryError>,
+    ) -> Result<Arc<T>, QueryError> {
+        let day = self.archive.days()[pos];
+        self.archive.get(pos, sec, |archive| {
+            let h = archive.get(pos, HEADER_SLOT, |archive| {
+                let bytes = archive.read_at(Artifact::Index, day, 0, HEADER_LEN)?;
+                let h = decode_header(&bytes, day)?;
+                archive.inc(names::query::INDEX_BYTES_READ, HEADER_LEN as u64);
+                Ok((h, HEADER_LEN as u64))
+            })?;
+            let (offset, len, fp) = h.sections[sec];
+            let bytes = archive.read_at(Artifact::Index, day, offset, len as usize)?;
+            if fnv1a(&bytes) != fp {
+                return Err(QueryError::Corrupt {
+                    day,
+                    detail: format!("section {sec} fingerprint mismatch"),
+                });
+            }
+            archive.inc(names::query::SECTIONS_LOADED, 1);
+            archive.inc(names::query::INDEX_BYTES_READ, len);
+            Ok((decode(&bytes, &h)?, len))
+        })
     }
 
     fn entry_of(
@@ -499,7 +226,7 @@ impl QueryService {
         pos: usize,
         prefix: PrefixKey,
     ) -> Result<Option<(usize, Entry)>, QueryError> {
-        let entries = self.prefixes(pos)?;
+        let entries = self.section(pos, SEC_PREFIXES, decode_prefixes)?;
         let key = encode_key(prefix);
         match entries.binary_search_by_key(&key, |e| (e.key_tag, e.key_net)) {
             Ok(i) => Ok(Some((i, entries[i]))),
@@ -508,12 +235,12 @@ impl QueryService {
     }
 
     fn point_of_entry(&mut self, pos: usize, e: Entry) -> Result<PrefixPoint, QueryError> {
-        let day = self.handles[pos].day;
+        let day = self.archive.days()[pos];
         let cities = if e.city_count == 0 {
             Vec::new()
         } else {
-            let names = self.cities(pos)?;
-            let ids = self.city_ids(pos)?;
+            let names = self.section(pos, SEC_CITY_STRS, decode_city_strs)?;
+            let ids = self.section(pos, SEC_CITY_IDS, decode_city_ids)?;
             let start = e.city_first as usize;
             let end = start + usize::from(e.city_count);
             let span = ids.get(start..end).ok_or_else(|| QueryError::Corrupt {
@@ -556,7 +283,7 @@ impl QueryService {
         prefix: PrefixKey,
     ) -> Result<Option<PrefixPoint>, QueryError> {
         let pos = self.pos_of(day)?;
-        self.telemetry.inc(names::query::POINT_LOOKUPS, 1);
+        self.archive.inc(names::query::POINT_LOOKUPS, 1);
         match self.entry_of(pos, prefix)? {
             Some((_, e)) => Ok(Some(self.point_of_entry(pos, e)?)),
             None => Ok(None),
@@ -575,9 +302,10 @@ impl QueryService {
         let Some((_, e)) = self.entry_of(pos, prefix)? else {
             return Ok(None);
         };
-        let path = self.handles[pos].jsonl_path.clone();
-        let bytes = read_at(&path, e.offset, e.len as usize, day)?;
-        self.telemetry
+        let bytes = self
+            .archive
+            .read_at(Artifact::Records, day, e.offset, e.len as usize)?;
+        self.archive
             .inc(names::query::RECORD_BYTES_READ, u64::from(e.len));
         let s = String::from_utf8(bytes).map_err(|err| QueryError::Corrupt {
             day,
@@ -591,12 +319,7 @@ impl QueryService {
     /// `CensusQuery::prefix_history` shape, answered from prefix tables
     /// only.
     pub fn history(&mut self, prefix: PrefixKey) -> Result<Vec<(u32, bool, bool)>, QueryError> {
-        let days = self.days.clone();
-        let mut out = Vec::with_capacity(days.len());
-        for day in days {
-            out.push(self.day_presence(day, prefix)?);
-        }
-        Ok(out)
+        self.history_between(prefix, 0, u32::MAX)
     }
 
     /// [`history`](Self::history) restricted to `lo..=hi`.
@@ -607,7 +330,8 @@ impl QueryService {
         hi: u32,
     ) -> Result<Vec<(u32, bool, bool)>, QueryError> {
         let days: Vec<u32> = self
-            .days
+            .archive
+            .days()
             .iter()
             .copied()
             .filter(|d| (lo..=hi).contains(d))
@@ -625,7 +349,7 @@ impl QueryService {
         prefix: PrefixKey,
     ) -> Result<(u32, bool, bool), QueryError> {
         let pos = self.pos_of(day)?;
-        self.telemetry.inc(names::query::POINT_LOOKUPS, 1);
+        self.archive.inc(names::query::POINT_LOOKUPS, 1);
         Ok(match self.entry_of(pos, prefix)? {
             Some((_, e)) => (
                 day,
@@ -640,7 +364,7 @@ impl QueryService {
     /// deprecated `CensusQuery::daily_confirmed_counts` shape, answered
     /// from day summaries only.
     pub fn daily_confirmed_counts(&mut self) -> Result<BTreeMap<u32, usize>, QueryError> {
-        let days = self.days.clone();
+        let days = self.archive.days().to_vec();
         let mut out = BTreeMap::new();
         for day in days {
             let s = self.summary(day)?;
@@ -652,7 +376,7 @@ impl QueryService {
     /// One day's aggregates, from the summary section only.
     pub fn summary(&mut self, day: u32) -> Result<DaySummary, QueryError> {
         let pos = self.pos_of(day)?;
-        Ok((*self.summary_arc(pos)?).clone())
+        Ok((*self.section(pos, SEC_SUMMARY, decode_summary)?).clone())
     }
 
     /// One day's artifact map: the degraded flag from the summary
@@ -665,21 +389,20 @@ impl QueryService {
     pub fn day_artifacts(&mut self, day: u32) -> Result<DayArtifacts, QueryError> {
         // laces-lint: allow(degraded-bypass) — carrying the already-derived summary flag; it was read through the Degraded trait at save time
         let degraded = self.summary(day)?.degraded;
-        let stem = format!("census-day-{day:05}");
-        let optional = |ext: &str| {
-            let path = self.dir.join(format!("{stem}.{ext}"));
+        let optional = |artifact| {
+            let path = self.archive.file(artifact, day);
             path.exists().then_some(path)
         };
         Ok(DayArtifacts {
             day,
             degraded,
-            records: self.dir.join(format!("{stem}.jsonl")),
-            index: self.dir.join(index_file_name(day)),
-            stats: optional("stats.json"),
-            telemetry: optional("telemetry.jsonl"),
-            trace: optional("trace.jsonl"),
-            chrome_trace: optional("trace.chrome.json"),
-            health_series: optional("health.series"),
+            records: self.archive.file(Artifact::Records, day),
+            index: self.archive.file(Artifact::Index, day),
+            stats: optional(Artifact::Stats),
+            telemetry: optional(Artifact::Telemetry),
+            trace: optional(Artifact::Trace),
+            chrome_trace: optional(Artifact::ChromeTrace),
+            health_series: optional(Artifact::HealthSeries),
         })
     }
 
@@ -688,7 +411,7 @@ impl QueryService {
     /// AS when either methodology saw anycast.
     pub fn asn_ranking(&mut self, day: u32) -> Result<Vec<AsnRank>, QueryError> {
         let pos = self.pos_of(day)?;
-        let postings = self.as_postings(pos)?;
+        let postings = self.section(pos, SEC_AS_POSTINGS, decode_as_postings)?;
         let mut counts: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
         for a in &postings.0 {
             counts.insert(a.asn, (a.v4 as usize, a.v6 as usize));
@@ -735,7 +458,7 @@ impl QueryService {
         day: u32,
     ) -> Result<BTreeMap<PrefixKey, (usize, Vec<String>)>, QueryError> {
         let pos = self.pos_of(day)?;
-        let entries = self.prefixes(pos)?;
+        let entries = self.section(pos, SEC_PREFIXES, decode_prefixes)?;
         let confirmed: Vec<Entry> = entries
             .iter()
             .filter(|e| e.flags & FLAG_GCD_CONFIRMED != 0 && e.flags & FLAG_HAS_GCD != 0)
@@ -754,8 +477,8 @@ impl QueryService {
     /// sorted by city name.
     pub fn sites(&mut self, day: u32) -> Result<Vec<(String, usize)>, QueryError> {
         let pos = self.pos_of(day)?;
-        let names = self.cities(pos)?;
-        let postings = self.city_postings(pos)?;
+        let names = self.section(pos, SEC_CITY_STRS, decode_city_strs)?;
+        let postings = self.section(pos, SEC_CITY_POSTINGS, decode_city_postings)?;
         let mut out = Vec::with_capacity(names.len());
         for (i, name) in names.iter().enumerate() {
             out.push((name.clone(), postings.records_of(i, day)?.len()));
@@ -767,12 +490,12 @@ impl QueryService {
     /// `city`, ascending. Unknown cities answer an empty list.
     pub fn site_prefixes(&mut self, day: u32, city: &str) -> Result<Vec<PrefixKey>, QueryError> {
         let pos = self.pos_of(day)?;
-        let names = self.cities(pos)?;
+        let names = self.section(pos, SEC_CITY_STRS, decode_city_strs)?;
         let Ok(city_idx) = names.binary_search_by(|n| n.as_str().cmp(city)) else {
             return Ok(Vec::new());
         };
-        let postings = self.city_postings(pos)?;
-        let entries = self.prefixes(pos)?;
+        let postings = self.section(pos, SEC_CITY_POSTINGS, decode_city_postings)?;
+        let entries = self.section(pos, SEC_PREFIXES, decode_prefixes)?;
         let recs = postings.records_of(city_idx, day)?;
         let mut out = Vec::with_capacity(recs.len());
         for r in recs {
@@ -846,7 +569,7 @@ mod tests {
             },
         )?;
         std::fs::write(dir.join(format!("census-day-{day:05}.jsonl")), jsonl)?;
-        std::fs::write(dir.join(index_file_name(day)), bytes)?;
+        std::fs::write(dir.join(Artifact::Index.file_name(day)), bytes)?;
         Ok(())
     }
 
@@ -1026,11 +749,30 @@ mod tests {
         Ok(())
     }
 
+    /// Only a missing index is `MissingIndex`: a missing record file is
+    /// an i/o error on that file, and the index still answers.
+    #[test]
+    fn missing_record_file_is_an_io_error() -> Result<(), AnyError> {
+        let dir = two_day_store("no-jsonl")?;
+        let jsonl = dir.join("census-day-00002.jsonl");
+        std::fs::remove_file(&jsonl)?;
+        let mut q = QueryService::open(&dir).build()?;
+        assert!(q.point(2, v4(3))?.is_some());
+        match q.record_json(2, v4(3)) {
+            Err(QueryError::Io { path, source }) => {
+                assert_eq!(path, jsonl);
+                assert_eq!(source.kind(), std::io::ErrorKind::NotFound);
+            }
+            other => panic!("expected Io on the record file, got {other:?}"),
+        }
+        Ok(())
+    }
+
     #[test]
     fn corrupt_sidecar_is_reported_with_day() -> Result<(), AnyError> {
         let dir = tmpdir("corrupt")?;
         write_day(&dir, 9, &[(v4(1), true, true, &["Oslo"], Some(1))])?;
-        let path = dir.join(index_file_name(9));
+        let path = dir.join(Artifact::Index.file_name(9));
         let mut bytes = std::fs::read(&path)?;
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // flip a summary byte → section fp mismatch
