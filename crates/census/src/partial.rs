@@ -56,7 +56,6 @@ pub fn run_partial_scan(
     let mut cfg = GcdConfig::daily(measurement_id, day);
     cfg.precheck = true;
     cfg.max_vps = Some(n_vps);
-    cfg.threads = 0;
 
     let low: Vec<IpAddr> = prefixes
         .iter()

@@ -244,13 +244,9 @@ impl CensusStore {
             offset += line.len() as u64;
         }
         let records: Vec<IndexRecord> = by_prefix.into_values().collect();
-        // The stats sidecar is optional (same policy as `load`); without
-        // it the summary's probe counters are zero but the per-record
-        // sections are exact.
-        let stats = std::fs::read_to_string(self.path_of(Artifact::Stats, day))
-            .ok()
-            .and_then(|s| serde_json::from_str::<CensusStats>(&s).ok())
-            .unwrap_or_default();
+        // Without a stats sidecar the summary's probe counters are zero
+        // but the per-record sections are exact.
+        let stats = self.read_stats(day)?.unwrap_or_default();
         let degraded = !stats.telemetry.degraded_reasons().is_empty();
         let idx = build_index(
             day,
@@ -377,7 +373,8 @@ impl CensusStore {
         Ok(report)
     }
 
-    /// Load one day.
+    /// Load one day. Without a stats sidecar the day loads with default
+    /// stats; a sidecar that cannot be read or parsed is an error.
     pub fn load(&self, day: u32) -> Result<DailyCensus, StoreError> {
         let path = self.path_of(Artifact::Records, day);
         let body = std::fs::read_to_string(&path).map_err(|source| StoreError::Io {
@@ -390,12 +387,35 @@ impl CensusStore {
             day,
             detail: e.to_string(),
         })?;
-        if let Ok(stats) = std::fs::read_to_string(self.path_of(Artifact::Stats, day)) {
-            if let Ok(stats) = serde_json::from_str::<CensusStats>(&stats) {
-                census.stats = stats;
-            }
+        if let Some(stats) = self.read_stats(day)? {
+            census.stats = stats;
         }
         Ok(census)
+    }
+
+    /// The day's stats sidecar, or `None` when there is none. The sidecar
+    /// is optional, but one that exists and cannot be read or parsed is an
+    /// error: reading it as absent would make a degraded day look clean.
+    fn read_stats(&self, day: u32) -> Result<Option<CensusStats>, StoreError> {
+        let path = self.path_of(Artifact::Stats, day);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(source) => {
+                return Err(StoreError::Io {
+                    path,
+                    day: Some(day),
+                    source,
+                })
+            }
+        };
+        serde_json::from_str(&text)
+            .map(Some)
+            .map_err(|e| StoreError::Parse {
+                path,
+                day,
+                detail: e.to_string(),
+            })
     }
 
     /// Days present in the store, ascending: the regular files named
@@ -639,6 +659,39 @@ mod tests {
         assert!(matches!(err, StoreError::Parse { day: 7, .. }));
         assert!(err.to_string().contains("unknown kind"));
         assert!(err.to_string().contains("census-day-00007.telemetry.jsonl"));
+        Ok(())
+    }
+
+    /// A damaged stats sidecar must not read as a clean day: `load` and
+    /// `reindex` reject it with a `Parse` error naming the file. Only a
+    /// missing sidecar is optional.
+    #[test]
+    fn damaged_stats_sidecar_is_an_error_and_a_missing_one_is_not() -> Result<(), AnyError> {
+        use laces_obs::DegradedReason;
+
+        let store = CensusStore::open(tmpdir("stats-damaged"))?;
+        let mut census = sample_census(4, 3);
+        census
+            .stats
+            .telemetry
+            .add_degraded(DegradedReason::WorkerCrashed { worker: 3 });
+        store.save(&census)?;
+        assert!(store.load(4)?.degraded());
+
+        let stats_path = store.path().join("census-day-00004.stats.json");
+        let idx_path = store.path().join("census-day-00004.idx");
+        std::fs::write(&stats_path, "{")?;
+        std::fs::remove_file(&idx_path)?;
+        for err in [store.load(4).unwrap_err(), store.reindex(4).unwrap_err()] {
+            assert!(matches!(err, StoreError::Parse { day: 4, .. }), "{err}");
+            assert!(err.to_string().contains("census-day-00004.stats.json"));
+        }
+        assert!(!idx_path.exists(), "a failed reindex writes no index");
+
+        std::fs::remove_file(&stats_path)?;
+        assert!(!store.load(4)?.degraded());
+        store.reindex(4)?;
+        assert!(idx_path.exists());
         Ok(())
     }
 

@@ -211,8 +211,8 @@ pub fn run_worker(
         platform: start.platform,
         site: start.worker_id as usize,
     };
-    // Resolve the per-worker route handles once, at start-order time: the
-    // probing loop below never touches the world's route cache lock.
+    // Open the worker's probe session once, at start-order time: its
+    // sender state and scratch buffers serve every batch below.
     let mut session = world.probe_session(source);
     session.attach_tracer(tracer.clone());
 

@@ -348,7 +348,7 @@ fn run_campaign_inner(
                     match geom {
                         Some(g) => {
                             // Resolved once per (chunk, VP): the probe
-                            // session (route handles, latency keys, scratch
+                            // session (sender state, latency key, scratch
                             // buffers) and both family source addresses.
                             let mut sessions: Vec<ProbeSession> = vps
                                 .iter()

@@ -1,16 +1,18 @@
 //! The simulated wire: probe in, attributed reply out.
 //!
-//! [`World::send_probe`] is the single point where measurement tools touch
-//! the simulated Internet. It accepts real probe *bytes* (built by
-//! `laces-packet`), decides whether and where the target responds — anycast
+//! Measurement tools touch the simulated Internet through two entry points
+//! that share one decision pipeline: [`World::send_probe`] sends one probe
+//! as real *bytes* (built by `laces-packet`), and [`World::send_probe_batch`]
+//! sends a batch through a sender's [`ProbeSession`], with or without bytes.
+//! The pipeline decides whether and where the target responds — anycast
 //! catchments, partial anycast, temporary anycast, backing-anycast
 //! fallbacks, global-BGP unicast egress, reverse-path instability, route
-//! flips, loss — synthesizes the reply bytes a real host would emit, and
-//! delivers them to the vantage point that BGP would deliver them to, with
-//! an RTT from the latency model.
+//! flips, loss — synthesizes the reply a real host would emit, and delivers
+//! it to the vantage point that BGP would deliver it to, with an RTT from
+//! the latency model. Every route and distance it reads is a table the
+//! [`World`] built when it was generated.
 
 use bytes::Bytes;
-use laces_geo::Coord;
 use laces_obs::Counter;
 use laces_packet::probe::{Packet, PacketView, PreparedReply, ProbeMeta};
 use laces_packet::{PacketError, PrefixKey, ProbeEncoding, Protocol};
@@ -20,12 +22,10 @@ use std::fmt::Write as _;
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use crate::deployments::DeploymentId;
 use crate::platform::{PlatformId, PlatformKind};
 use crate::rng;
-use crate::routing::{Routes, TieSet};
 use crate::targets::{ChaosProfile, TargetKind};
-use crate::world::{forward_site_in, receiving_site_in, DepCatchment, World};
+use crate::world::{target_key, World};
 
 /// Where a probe is being sent from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +45,16 @@ pub enum ProbeSource {
         /// Node index.
         vp: usize,
     },
+}
+
+impl ProbeSource {
+    /// The platform and the sender's vantage index on it.
+    fn vantage(self) -> (PlatformId, usize) {
+        match self {
+            ProbeSource::Worker { platform, site } => (platform, site),
+            ProbeSource::Vp { platform, vp } => (platform, vp),
+        }
+    }
 }
 
 /// Measurement-scope context the wire needs for route dynamics.
@@ -218,37 +228,21 @@ fn host_of(addr: IpAddr) -> u8 {
     }
 }
 
-/// Pre-resolved per-worker probing state: the route handles
-/// (`Arc<Routes>`, `Arc<DepCatchment>`) a sender needs are fetched from the
-/// `World` caches once at start-order time, and the reply/chaos scratch
-/// buffers are owned here, so [`World::send_probe_batch`] never touches the
-/// cache `RwLock` and allocates nothing per probe in its steady state.
+/// One sender's own probing state: its source, resolved once when the
+/// session opens, plus the reply and CHAOS scratch buffers, so
+/// [`World::send_probe_batch`] allocates nothing per probe in its steady
+/// state. Every route and distance table belongs to the [`World`], so a
+/// session is the same size, and as cheap to open, at any world size.
 #[derive(Debug)]
 pub struct ProbeSession {
     src: ProbeSource,
-    src_platform: PlatformId,
     src_as: u32,
-    /// Position of `src_as` in the VP-AS table, resolved once.
+    /// Position of `src_as` in the VP-AS table.
     src_vp_pos: Option<u16>,
-    src_coord: Coord,
-    /// City of the sending site (workers sit at city centres; unicast VP
-    /// nodes are jittered off them, so they stay coordinate-based).
-    src_city: Option<laces_geo::CityId>,
-    /// The sender's latency key, resolved once.
+    /// The sender's latency key.
     src_key: rng::Key,
-    /// The sender's access delay, resolved once.
+    /// The sender's access delay.
     src_access: f64,
-    /// Reply routing toward the sender's own platform (workers only).
-    routes: Option<Arc<Routes>>,
-    /// Forward catchment of every deployment, indexed by `DeploymentId`.
-    catchments: Vec<Arc<DepCatchment>>,
-    /// Great-circle distances from this VP's jittered coordinate to each
-    /// city centre, filled on first use (NaN = unset). Two slots per city
-    /// — the forward (VP → city) and return (city → VP) legs are cached
-    /// separately so the memo never assumes haversine symmetry. Workers
-    /// sit at city centres and resolve through the world's city-pair memo
-    /// instead, so this stays empty for them.
-    vp_city_km: Vec<f64>,
     chaos_buf: String,
     reply_buf: Vec<u8>,
     /// Flight recorder for per-probe wire fates; the default is the
@@ -257,11 +251,6 @@ pub struct ProbeSession {
 }
 
 impl ProbeSession {
-    /// The source this session probes from.
-    pub fn source(&self) -> ProbeSource {
-        self.src
-    }
-
     /// Attach a flight recorder; the wire emits a `WireOutcome` event for
     /// every sampled probe this session sends.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
@@ -291,44 +280,18 @@ pub struct BatchProbe<'a> {
 }
 
 impl World {
-    /// Resolve everything a sender needs for a measurement's probing loop —
-    /// done once at start-order time, so the per-probe path is lock-free.
+    /// Open a probing session for `src`: resolve the sender's AS, VP-AS
+    /// position, latency key and access delay once.
     pub fn probe_session(&self, src: ProbeSource) -> ProbeSession {
-        let (src_platform, src_idx) = match src {
-            ProbeSource::Worker { platform, site } => (platform, site),
-            ProbeSource::Vp { platform, vp } => (platform, vp),
-        };
-        let src_as = self.platform(src_platform).vp_as(src_idx);
-        let src_key = rng::key(
-            self.cfg.seed,
-            &[0x52C, src_platform.0 as u64, src_idx as u64],
-        );
+        let (platform, idx) = src.vantage();
+        let src_as = self.platform(platform).vp_as(idx);
+        let src_key = rng::key(self.cfg.seed, &[0x52C, platform.0 as u64, idx as u64]);
         ProbeSession {
             src,
-            src_platform,
             src_as,
             src_vp_pos: self.vp_as_position(src_as),
-            src_coord: self.vantage_coord(src_platform, src_idx),
-            src_city: match src {
-                ProbeSource::Worker { platform, site } => self
-                    .platform(platform)
-                    .sites()
-                    .map(|sites| sites[site].city),
-                ProbeSource::Vp { .. } => None,
-            },
             src_key,
             src_access: self.latency.access_ms(src_key),
-            routes: match src {
-                ProbeSource::Worker { platform, .. } => Some(self.platform_routes(platform)),
-                ProbeSource::Vp { .. } => None,
-            },
-            catchments: (0..self.deployments.len() as u32)
-                .map(|d| self.dep_catchment(DeploymentId(d)))
-                .collect(),
-            vp_city_km: match src {
-                ProbeSource::Vp { .. } => vec![f64::NAN; self.db.len() * 2],
-                ProbeSource::Worker { .. } => Vec::new(),
-            },
             chaos_buf: String::new(),
             reply_buf: Vec::new(),
             tracer: Tracer::disabled(),
@@ -356,50 +319,26 @@ impl World {
         window_start_ms: u64,
         ctx: &MeasurementCtx,
     ) -> Result<Option<Delivery>, PacketError> {
-        let (src_platform, src_idx) = match src {
-            ProbeSource::Worker { platform, site } => (platform, site),
-            ProbeSource::Vp { platform, vp } => (platform, vp),
-        };
-        let src_as = self.platform(src_platform).vp_as(src_idx);
-        let src_key = rng::key(
-            self.cfg.seed,
-            &[0x52C, src_platform.0 as u64, src_idx as u64],
-        );
-        let src_city = match src {
-            ProbeSource::Worker { platform, site } => self
-                .platform(platform)
-                .sites()
-                .map(|sites| sites[site].city),
-            ProbeSource::Vp { .. } => None,
-        };
-        let mut chaos_buf = String::new();
-        let mut reply_buf = Vec::new();
-        self.send_probe_core(
-            src,
-            src_platform,
-            self.vantage_coord(src_platform, src_idx),
-            src_city,
-            src_key,
-            self.latency.access_ms(src_key),
-            flip_probability(ctx.span_ms as f64 / 1000.0),
-            None,
-            None,
-            &packet.view(),
+        let probe = BatchProbe {
+            dst: packet.dst,
+            bytes: &packet.bytes,
             tx_time_ms,
             window_start_ms,
+            meta: None,
+        };
+        self.send_probe_core(
+            &mut self.probe_session(src),
+            flip_probability(ctx.span_ms as f64 / 1000.0),
+            packet.src,
+            packet.protocol,
+            &probe,
             ctx,
-            |dep| self.forward_site(dep, src_as, ctx.day),
-            |responder_as| self.receiving_site(src_platform, responder_as, ctx.day),
-            &mut chaos_buf,
-            &mut reply_buf,
-            &Tracer::disabled(),
         )
     }
 
-    /// The lock-free batched sending path: every probe of `probes` goes
-    /// through the same decision pipeline as [`World::send_probe`], but
-    /// route lookups resolve against the session's pre-fetched handles and
-    /// reply synthesis reuses the session's buffers. Wire statistics are
+    /// The batched sending path: every probe of `probes` goes through the
+    /// same decision pipeline as [`World::send_probe`], with reply
+    /// synthesis reusing the session's buffers. Wire statistics are
     /// accumulated locally and added to `stats` once per batch (the sums
     /// are identical to per-probe increments).
     ///
@@ -427,30 +366,6 @@ impl World {
         out: &mut Vec<Option<Delivery>>,
     ) -> Result<(), PacketError> {
         out.clear();
-        let ProbeSession {
-            src,
-            src_platform,
-            src_as,
-            src_vp_pos,
-            src_coord,
-            src_city,
-            src_key,
-            src_access,
-            routes,
-            catchments,
-            vp_city_km,
-            chaos_buf,
-            reply_buf,
-            tracer,
-        } = session;
-        let tracer = &*tracer;
-        let (src, src_platform, src_as, src_vp_pos, src_coord) =
-            (*src, *src_platform, *src_as, *src_vp_pos, *src_coord);
-        let (src_city, src_key, src_access) = (*src_city, *src_key, *src_access);
-        let routes = routes.as_deref();
-        let catchments: &[Arc<DepCatchment>] = catchments;
-        let seed = self.cfg.seed;
-        let day = ctx.day;
         // The flip probability depends only on the measurement span: hoist
         // its two exponentials out of the per-probe path.
         let flip_p = flip_probability(ctx.span_ms as f64 / 1000.0);
@@ -458,35 +373,7 @@ impl World {
         let mut unanswered: u64 = 0;
         let mut first_err: Option<PacketError> = None;
         for p in probes {
-            let view = PacketView {
-                src: src_addr,
-                dst: p.dst,
-                protocol,
-                bytes: p.bytes,
-            };
-            let sent = self.send_probe_core(
-                src,
-                src_platform,
-                src_coord,
-                src_city,
-                src_key,
-                src_access,
-                flip_p,
-                (!vp_city_km.is_empty()).then_some(vp_city_km.as_mut_slice()),
-                p.meta,
-                &view,
-                p.tx_time_ms,
-                p.window_start_ms,
-                ctx,
-                |dep| {
-                    let pos = src_vp_pos?;
-                    forward_site_in(seed, &catchments[dep.0 as usize], pos, dep, src_as, day)
-                },
-                |responder_as| receiving_site_in(seed, routes?, src_platform, responder_as, day),
-                chaos_buf,
-                reply_buf,
-                tracer,
-            );
+            let sent = self.send_probe_core(session, flip_p, src_addr, protocol, p, ctx);
             out.push(match sent {
                 Ok(Some(d)) => {
                     delivered += 1;
@@ -516,37 +403,41 @@ impl World {
     }
 
     /// The shared decision pipeline behind [`World::send_probe`] and
-    /// [`World::send_probe_batch`]. `forward` and `receiving` abstract the
-    /// route-table access (locked caches on the scalar path, pre-resolved
-    /// session handles on the batched path) and MUST be backed by
-    /// [`forward_site_in`] / [`receiving_site_in`] so the RNG draws are
-    /// bit-identical between paths.
-    #[allow(clippy::too_many_arguments)]
+    /// [`World::send_probe_batch`]: one probe from `session`'s sender at
+    /// `src_addr`, with `flip_p` the measurement's route-flip probability.
     fn send_probe_core(
         &self,
-        src: ProbeSource,
-        src_platform: PlatformId,
-        src_coord: Coord,
-        src_city: Option<laces_geo::CityId>,
-        src_key: rng::Key,
-        src_access: f64,
+        session: &mut ProbeSession,
         flip_p: f64,
-        vp_city_km: Option<&mut [f64]>,
-        prepared: Option<(ProbeMeta, ProbeEncoding)>,
-        packet: &PacketView<'_>,
-        tx_time_ms: u64,
-        window_start_ms: u64,
+        src_addr: IpAddr,
+        protocol: Protocol,
+        probe: &BatchProbe<'_>,
         ctx: &MeasurementCtx,
-        mut forward: impl FnMut(DeploymentId) -> Option<(usize, u16)>,
-        mut receiving: impl FnMut(u32) -> Option<(usize, u16, TieSet)>,
-        chaos_buf: &mut String,
-        reply_buf: &mut Vec<u8>,
-        tracer: &Tracer,
     ) -> Result<Option<Delivery>, PacketError> {
-        let src_idx = match src {
-            ProbeSource::Worker { site, .. } => site,
-            ProbeSource::Vp { vp, .. } => vp,
+        let ProbeSession {
+            src,
+            src_as,
+            src_vp_pos,
+            src_key,
+            src_access,
+            ref mut chaos_buf,
+            ref mut reply_buf,
+            ref tracer,
+        } = *session;
+        let BatchProbe {
+            dst,
+            bytes,
+            tx_time_ms,
+            window_start_ms,
+            meta: prepared,
+        } = *probe;
+        let packet = PacketView {
+            src: src_addr,
+            dst,
+            protocol,
+            bytes,
         };
+        let (src_platform, src_idx) = src.vantage();
         // Per-probe flight-recorder hook: a single branch when tracing is
         // disabled, and the event closure only runs for sampled targets.
         // Every fate is keyed on per-probe coordinates (prefix, sender,
@@ -602,93 +493,71 @@ impl World {
                 && matches!(src, ProbeSource::Vp { .. })
                 && self.is_broken_v6_vp(src_platform, src_idx));
 
-        // Every responder sits at a city centre, so the forward leg's
-        // great-circle distance resolves through the world's city-pair memo
-        // when the sender does too (workers); jittered unicast VP senders
-        // resolve through their session's per-city memo when one is
-        // attached, and fall back to the bare haversine otherwise.
-        let mut vp_city_km = vp_city_km;
-        let mut dist_from_src = |city: laces_geo::CityId, coord: &Coord| -> f64 {
-            match src_city {
-                Some(sc) => self.city_gcd_km(sc, city),
-                None => match vp_city_km.as_deref_mut() {
-                    Some(memo) => {
-                        let slot = &mut memo[usize::from(city.0) * 2];
-                        if slot.is_nan() {
-                            *slot = src_coord.gcd_km(coord);
-                        }
-                        *slot
-                    }
-                    None => src_coord.gcd_km(coord),
-                },
-            }
-        };
-        let (responder_as, responder_city, responder_coord, site_idx, hops_fwd, d_fwd) =
-            if acts_anycast {
-                let dep = match target.kind {
-                    TargetKind::Anycast { dep }
-                    | TargetKind::PartialAnycast { dep, .. }
-                    | TargetKind::BackingAnycast { dep, .. } => dep,
-                    _ => unreachable!("acts_anycast implies a deployment"),
-                };
-                let Some((site, dist)) = forward(dep) else {
-                    unanswered(UnansweredCause::NoForwardRoute);
-                    return Ok(None);
-                };
-                let s = &self.deployment(dep).sites[site];
-                let coord = self.db.get(s.city).coord;
-                let d = dist_from_src(s.city, &coord);
-                (s.as_idx, s.city, coord, Some((dep, site)), dist, d)
-            } else {
-                match target.kind {
-                    TargetKind::GlobalUnicast { city, egress } => {
-                        // Egress network is stable per (target, probing VP):
-                        // different workers' replies leave via different PoPs.
-                        let e = egress[rng::below(
-                            rng::key(self.cfg.seed, &[0xE62E, tid.0 as u64, src_idx as u64]),
-                            2,
-                        )];
-                        let coord = self.db.get(city).coord;
-                        let d = dist_from_src(city, &coord);
-                        let hops = self.latency.estimate_hops_km(d, rng::mix(probe_key, 7));
-                        (e, city, coord, None, hops, d)
-                    }
-                    TargetKind::Unicast { city }
-                    | TargetKind::PartialAnycast { city, .. }
-                    | TargetKind::BackingAnycast { city, .. } => {
-                        // A live hijack splits traffic: roughly half the
-                        // Internet's catchments route to the bogus origin.
-                        if let Some(h) = target.hijack.filter(|h| h.day == ctx.day) {
-                            if rng::unit_f64(rng::key(
+        // Every responder sits at a city centre: both distance legs are
+        // rows of the world's vantage table.
+        let src_km = self.vantage_km(src_platform, src_idx);
+        let km_from_src = |city: laces_geo::CityId| src_km[usize::from(city.0)][0];
+        let (responder_as, responder_city, site_idx, hops_fwd, d_fwd) = if acts_anycast {
+            let dep = match target.kind {
+                TargetKind::Anycast { dep }
+                | TargetKind::PartialAnycast { dep, .. }
+                | TargetKind::BackingAnycast { dep, .. } => dep,
+                _ => unreachable!("acts_anycast implies a deployment"),
+            };
+            let forward =
+                src_vp_pos.and_then(|pos| self.forward_site_from(pos, dep, src_as, ctx.day));
+            let Some((site, dist)) = forward else {
+                unanswered(UnansweredCause::NoForwardRoute);
+                return Ok(None);
+            };
+            let s = &self.deployment(dep).sites[site];
+            (
+                s.as_idx,
+                s.city,
+                Some((dep, site)),
+                dist,
+                km_from_src(s.city),
+            )
+        } else {
+            match target.kind {
+                TargetKind::GlobalUnicast { city, egress } => {
+                    // Egress network is stable per (target, probing VP):
+                    // different workers' replies leave via different PoPs.
+                    let e = egress[rng::below(
+                        rng::key(self.cfg.seed, &[0xE62E, tid.0 as u64, src_idx as u64]),
+                        2,
+                    )];
+                    let d = km_from_src(city);
+                    let hops = self.latency.estimate_hops_km(d, rng::mix(probe_key, 7));
+                    (e, city, None, hops, d)
+                }
+                TargetKind::Unicast { city }
+                | TargetKind::PartialAnycast { city, .. }
+                | TargetKind::BackingAnycast { city, .. } => {
+                    // A live hijack splits traffic: roughly half the
+                    // Internet's catchments route to the bogus origin.
+                    let hijacker = target.hijack.filter(|h| {
+                        h.day == ctx.day
+                            && rng::unit_f64(rng::key(
                                 self.cfg.seed,
                                 &[0x41AF, tid.0 as u64, src_idx as u64],
                             )) < 0.5
-                            {
-                                let a_city = self.topo.home_city(h.attacker_as);
-                                let coord = self.db.get(a_city).coord;
-                                let d = dist_from_src(a_city, &coord);
-                                let hops = self.latency.estimate_hops_km(d, rng::mix(probe_key, 9));
-                                (h.attacker_as, a_city, coord, None, hops, d)
-                            } else {
-                                let coord = self.db.get(city).coord;
-                                let d = dist_from_src(city, &coord);
-                                let hops = self.latency.estimate_hops_km(d, rng::mix(probe_key, 7));
-                                (target.as_idx, city, coord, None, hops, d)
-                            }
-                        } else {
-                            let coord = self.db.get(city).coord;
-                            let d = dist_from_src(city, &coord);
-                            let hops = self.latency.estimate_hops_km(d, rng::mix(probe_key, 7));
-                            (target.as_idx, city, coord, None, hops, d)
-                        }
-                    }
-                    TargetKind::Anycast { .. } => {
-                        // Inactive temporary anycast.
-                        unanswered(UnansweredCause::InactiveAnycast);
-                        return Ok(None);
-                    }
+                    });
+                    let (responder, city, salt) = match hijacker {
+                        Some(h) => (h.attacker_as, self.topo.home_city(h.attacker_as), 9),
+                        None => (target.as_idx, city, 7),
+                    };
+                    let d = km_from_src(city);
+                    let hops = self.latency.estimate_hops_km(d, rng::mix(probe_key, salt));
+                    (responder, city, None, hops, d)
                 }
-            };
+                TargetKind::Anycast { .. } => {
+                    // Inactive temporary anycast.
+                    unanswered(UnansweredCause::InactiveAnycast);
+                    return Ok(None);
+                }
+            }
+        };
 
         // --- Synthesize the reply bytes -------------------------------------
         // The identity is borrowed, not cloned: per-site identities point
@@ -726,28 +595,18 @@ impl World {
                 chaos_identity: chaos_identity.map(Arc::from),
             }),
             None => {
-                laces_packet::probe::build_reply_into(packet, chaos_identity, reply_buf)?;
+                laces_packet::probe::build_reply_into(&packet, chaos_identity, reply_buf)?;
                 None
             }
         };
 
         // --- Route the reply back -------------------------------------------
         let (rx_index, hops_back, d_back) = match src {
-            ProbeSource::Vp { .. } => {
-                let d = match vp_city_km {
-                    Some(memo) => {
-                        let slot = &mut memo[usize::from(responder_city.0) * 2 + 1];
-                        if slot.is_nan() {
-                            *slot = responder_coord.gcd_km(&src_coord);
-                        }
-                        *slot
-                    }
-                    None => responder_coord.gcd_km(&src_coord),
-                };
-                (src_idx, hops_fwd, d)
-            }
+            ProbeSource::Vp { .. } => (src_idx, hops_fwd, src_km[usize::from(responder_city.0)][1]),
             ProbeSource::Worker { platform, .. } => {
-                let Some((primary, dist_back, ties)) = receiving(responder_as) else {
+                let Some((primary, dist_back, ties)) =
+                    self.receiving_site(platform, responder_as, ctx.day)
+                else {
                     unanswered(UnansweredCause::NoReverseRoute);
                     return Ok(None);
                 };
@@ -778,29 +637,24 @@ impl World {
                         }
                     }
                 }
-                let Some(sites) = self.platform(platform).sites() else {
-                    unanswered(UnansweredCause::NoReverseRoute);
-                    return Ok(None);
-                };
                 (
                     site,
                     dist_back,
-                    self.city_gcd_km(responder_city, sites[site].city),
+                    self.vantage_km(platform, site)[usize::from(responder_city.0)][1],
                 )
             }
         };
 
-        let target_key = rng::key(self.cfg.seed, &[0x7A26, tid.0 as u64]);
         let mut rtt = self.latency.rtt_ms_km(
             d_fwd,
             d_back,
             hops_fwd,
             hops_back,
             src_key,
-            target_key,
+            target_key(self.cfg.seed, u64::from(tid.0)),
             probe_key,
             src_access,
-            self.target_access_ms(tid, target_key),
+            self.target_access_ms(tid),
         );
         // DNS answers come from a resolver process, not the kernel: request
         // processing adds milliseconds of heavy-tailed delay. This is why

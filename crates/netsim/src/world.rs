@@ -4,15 +4,14 @@
 //! target population with ground truth, anycast deployments, and measurement
 //! platforms. All catchment questions — *which site of deployment D does a
 //! probe from AS X reach?* and *which worker of platform P receives a
-//! response originated by AS Y?* — are answered here, from cached
-//! Gao-Rexford route computations.
+//! response originated by AS Y?* — are answered here, from Gao-Rexford
+//! route tables that [`World::generate`] computes once, together with every
+//! other table the wire reads (access delays, vantage-point distances).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use laces_geo::{CityDb, CityId, Coord};
 use laces_packet::PrefixKey;
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -214,46 +213,6 @@ pub struct DepCatchment {
     pub per_vp: Vec<(TieSet, u16)>,
 }
 
-#[derive(Default)]
-struct Caches {
-    platform_routes: BTreeMap<u16, Arc<Routes>>,
-    dep_catchments: BTreeMap<u32, Arc<DepCatchment>>,
-}
-
-/// Lazily-filled memo table of pure-function f64 values, stored as bit
-/// patterns in relaxed atomics. The sentinel (`u64::MAX`, a NaN pattern no
-/// finite computation produces) marks unfilled cells; because every cached
-/// value is a pure function of its index, racing fills write the same bits
-/// and reads stay deterministic.
-struct F64Memo {
-    cells: Vec<std::sync::atomic::AtomicU64>,
-}
-
-impl F64Memo {
-    const EMPTY: u64 = u64::MAX;
-
-    fn new(n: usize) -> Self {
-        let mut cells = Vec::with_capacity(n);
-        cells.resize_with(n, || std::sync::atomic::AtomicU64::new(Self::EMPTY));
-        F64Memo { cells }
-    }
-
-    #[inline]
-    fn get_or_fill(&self, i: usize, fill: impl FnOnce() -> f64) -> f64 {
-        // laces-lint: allow(atomic-ordering) — memo of a pure function of the index: racing fills store identical bits, so any interleaving reads the same value
-        use std::sync::atomic::Ordering::Relaxed;
-        // laces-lint: allow(atomic-ordering) — same pure-function memo invariant as above
-        let bits = self.cells[i].load(Relaxed);
-        if bits != Self::EMPTY {
-            return f64::from_bits(bits);
-        }
-        let v = fill();
-        // laces-lint: allow(atomic-ordering) — same pure-function memo invariant as above
-        self.cells[i].store(v.to_bits(), Relaxed);
-        v
-    }
-}
-
 /// A complete synthetic Internet.
 pub struct World {
     /// Generation parameters.
@@ -279,15 +238,20 @@ pub struct World {
     pub broken_v6_vps: Vec<usize>,
     vp_as_pos: BTreeMap<u32, u16>,
     vp_as_list: Vec<u32>,
-    caches: RwLock<Caches>,
+    /// Forward catchment of every deployment, by `DeploymentId`.
+    dep_catchments: Vec<DepCatchment>,
+    /// Reply routes toward every anycast platform's sites, by `PlatformId`;
+    /// `None` for unicast platforms, whose replies return to the sender.
+    platform_routes: Vec<Option<Routes>>,
+    /// Access delay of every target ([`LatencyModel::access_ms`] of its
+    /// latency key), by `TargetId`.
+    target_access: Vec<f64>,
+    /// Per platform, row-major `n_vps × n_cities`: the great-circle
+    /// distances `[vantage → city, city → vantage]` between each vantage
+    /// point and each city centre. Each leg is computed in its own call
+    /// order, so no distance assumes haversine symmetry.
+    vantage_km: Vec<Vec<[f64; 2]>>,
     trace_cache: parking_lot::Mutex<crate::trace::TraceCache>,
-    /// City-pair great-circle distances (row-major `n_cities × n_cities`),
-    /// filled on first use. Keyed in call order — no symmetry is assumed,
-    /// so a cached leg is bit-identical to the haversine it replaces.
-    city_km: F64Memo,
-    /// Per-target access delay ([`LatencyModel::access_ms`] of the
-    /// target's latency key), filled on first use.
-    target_access: F64Memo,
 }
 
 impl World {
@@ -614,16 +578,36 @@ impl World {
             }
         }
 
-        // --- Production catchment, for jittery-target placement ------------
-        let prod_origin_ases: Vec<u32> = platforms[production.0 as usize]
-            .sites()
-            .map(|sites| sites.iter().map(|s| s.as_idx).collect())
-            .unwrap_or_default();
-        let prod_routes = routing::compute(&topo, &prod_origin_ases);
-        let tie_stubs: Vec<u32> = stub_range
-            .clone()
-            .filter(|&a| prod_routes.origins[a as usize].len() >= 2)
+        // --- Route tables (the topology is complete from here on) ---------
+        let routes_to = |sites: &[Site]| {
+            let origins: Vec<u32> = sites.iter().map(|s| s.as_idx).collect();
+            routing::compute(&topo, &origins)
+        };
+        let platform_routes: Vec<Option<Routes>> = platforms
+            .iter()
+            .map(|p| p.sites().map(&routes_to))
             .collect();
+        let dep_catchments: Vec<DepCatchment> = deployments
+            .iter()
+            .map(|d| {
+                let routes = routes_to(&d.sites);
+                DepCatchment {
+                    per_vp: vp_as_list
+                        .iter()
+                        .map(|&a| (routes.origins[a as usize], routes.dist[a as usize]))
+                        .collect(),
+                }
+            })
+            .collect();
+
+        // Jittery targets sit in stubs tied between production sites.
+        let tie_stubs: Vec<u32> = match &platform_routes[production.0 as usize] {
+            Some(routes) => stub_range
+                .clone()
+                .filter(|&a| routes.origins[a as usize].len() >= 2)
+                .collect(),
+            None => Vec::new(),
+        };
 
         // --- Target population ----------------------------------------------
         let mut targets: Vec<Target> = Vec::new();
@@ -997,9 +981,10 @@ impl World {
             .collect();
 
         let latency = LatencyModel::new(cfg.seed);
-        let city_km = F64Memo::new(db.len() * db.len());
-        let target_access = F64Memo::new(targets.len());
-        let world = World {
+        let target_access = (0..targets.len() as u64)
+            .map(|tid| latency.access_ms(target_key(cfg.seed, tid)))
+            .collect();
+        let mut world = World {
             cfg,
             db,
             topo,
@@ -1012,18 +997,26 @@ impl World {
             broken_v6_vps,
             vp_as_pos,
             vp_as_list,
-            caches: RwLock::new(Caches::default()),
-            trace_cache: parking_lot::Mutex::new(crate::trace::TraceCache::default()),
-            city_km,
+            dep_catchments,
+            platform_routes,
             target_access,
+            vantage_km: Vec::new(),
+            trace_cache: parking_lot::Mutex::new(crate::trace::TraceCache::default()),
         };
-        // Seed the platform-route cache with the production table we already
-        // computed.
-        world
-            .caches
-            .write()
-            .platform_routes
-            .insert(production.0, Arc::new(prod_routes));
+        world.vantage_km = (0..world.platforms.len() as u16)
+            .map(PlatformId)
+            .map(|pid| {
+                (0..world.platform(pid).n_vps())
+                    .flat_map(|i| {
+                        let v = world.vantage_coord(pid, i);
+                        world
+                            .db
+                            .iter()
+                            .map(move |(_, c)| [v.gcd_km(&c.coord), c.coord.gcd_km(&v)])
+                    })
+                    .collect()
+            })
+            .collect();
         world
     }
 
@@ -1032,25 +1025,20 @@ impl World {
         self.targets.len()
     }
 
+    /// The target's access delay.
+    pub fn target_access_ms(&self, tid: TargetId) -> f64 {
+        self.target_access[tid.0 as usize]
+    }
+
+    /// Great-circle distances between vantage point `idx` of `platform`
+    /// and every city centre, by `CityId`: `[vantage → city, city →
+    /// vantage]`.
+    pub(crate) fn vantage_km(&self, platform: PlatformId, idx: usize) -> &[[f64; 2]] {
+        let n = self.db.len();
+        &self.vantage_km[usize::from(platform.0)][idx * n..(idx + 1) * n]
+    }
+
     /// Look up a target by census prefix.
-    /// Great-circle distance between two cities, memoised in call order
-    /// (the value for `(a, b)` is computed as `a.gcd_km(b)`, never read
-    /// from `(b, a)`), so it is bit-identical to the haversine it caches.
-    #[inline]
-    pub fn city_gcd_km(&self, a: CityId, b: CityId) -> f64 {
-        self.city_km
-            .get_or_fill(a.0 as usize * self.db.len() + b.0 as usize, || {
-                self.db.get(a).coord.gcd_km(&self.db.get(b).coord)
-            })
-    }
-
-    /// The target's access delay, memoised per target id.
-    #[inline]
-    pub fn target_access_ms(&self, tid: TargetId, target_key: u64) -> f64 {
-        self.target_access
-            .get_or_fill(tid.0 as usize, || self.latency.access_ms(target_key))
-    }
-
     pub fn lookup(&self, key: PrefixKey) -> Option<TargetId> {
         match key {
             PrefixKey::V4(p) => {
@@ -1079,67 +1067,39 @@ impl World {
         &self.deployments[id.0 as usize]
     }
 
-    /// Routes toward an anycast platform's sites, over every AS (cached).
-    pub fn platform_routes(&self, id: PlatformId) -> Arc<Routes> {
-        if let Some(r) = self.caches.read().platform_routes.get(&id.0) {
-            return Arc::clone(r);
-        }
-        // A unicast platform has no anycast sites: an empty origin set makes
-        // every AS unreachable, which downstream treats as "no receiver".
-        let origins: Vec<u32> = self
-            .platform(id)
-            .sites()
-            .map(|sites| sites.iter().map(|s| s.as_idx).collect())
-            .unwrap_or_default();
-        let routes = Arc::new(routing::compute(&self.topo, &origins));
-        self.caches
-            .write()
-            .platform_routes
-            .entry(id.0)
-            .or_insert_with(|| Arc::clone(&routes));
-        routes
+    /// Routes toward an anycast platform's sites, over every AS; `None`
+    /// for a unicast platform.
+    pub fn platform_routes(&self, id: PlatformId) -> Option<&Routes> {
+        self.platform_routes[usize::from(id.0)].as_ref()
     }
 
-    /// Forward catchment of a target deployment, restricted to VP ASes
-    /// (cached).
-    pub fn dep_catchment(&self, dep: DeploymentId) -> Arc<DepCatchment> {
-        if let Some(c) = self.caches.read().dep_catchments.get(&dep.0) {
-            return Arc::clone(c);
-        }
-        let origins: Vec<u32> = self
-            .deployment(dep)
-            .sites
-            .iter()
-            .map(|s| s.as_idx)
-            .collect();
-        let routes = routing::compute(&self.topo, &origins);
-        let per_vp = self
-            .vp_as_list
-            .iter()
-            .map(|&a| (routes.origins[a as usize], routes.dist[a as usize]))
-            .collect();
-        let c = Arc::new(DepCatchment { per_vp });
-        self.caches
-            .write()
-            .dep_catchments
-            .entry(dep.0)
-            .or_insert_with(|| Arc::clone(&c));
-        c
+    /// Forward catchment of a target deployment, restricted to VP ASes.
+    pub fn dep_catchment(&self, dep: DeploymentId) -> &DepCatchment {
+        &self.dep_catchments[dep.0 as usize]
     }
 
     /// Which site of `dep` a probe from VP AS `src_as` reaches on `day`, and
     /// the AS-path distance. Returns `None` if `src_as` is not a registered
     /// VP AS or the deployment is unreachable from it.
     pub fn forward_site(&self, dep: DeploymentId, src_as: u32, day: u32) -> Option<(usize, u16)> {
-        let pos = self.vp_as_position(src_as)?;
-        forward_site_in(
-            self.cfg.seed,
-            &self.dep_catchment(dep),
-            pos,
-            dep,
-            src_as,
-            day,
-        )
+        self.forward_site_from(self.vp_as_position(src_as)?, dep, src_as, day)
+    }
+
+    /// [`World::forward_site`] for a sender whose VP-AS position `pos`
+    /// (that of `src_as`) is already resolved.
+    pub(crate) fn forward_site_from(
+        &self,
+        pos: u16,
+        dep: DeploymentId,
+        src_as: u32,
+        day: u32,
+    ) -> Option<(usize, u16)> {
+        let (ties, dist) = self.dep_catchment(dep).per_vp[usize::from(pos)];
+        if ties.is_empty() {
+            return None;
+        }
+        let pick = sticky_tie_pick(self.cfg.seed, 0xF02D, dep.0 as u64, src_as, day, ties.len());
+        Some((ties.as_slice()[pick] as usize, dist))
     }
 
     /// Position of `src_as` in the registered VP-AS table, if registered.
@@ -1156,13 +1116,24 @@ impl World {
         responder_as: u32,
         day: u32,
     ) -> Option<(usize, u16, TieSet)> {
-        receiving_site_in(
+        let routes = self.platform_routes(platform)?;
+        let ties = routes.origins[responder_as as usize];
+        if ties.is_empty() {
+            return None;
+        }
+        let pick = sticky_tie_pick(
             self.cfg.seed,
-            &self.platform_routes(platform),
-            platform,
+            0x2CAE,
+            platform.0 as u64,
             responder_as,
             day,
-        )
+            ties.len(),
+        );
+        Some((
+            ties.as_slice()[pick] as usize,
+            routes.dist[responder_as as usize],
+            ties,
+        ))
     }
 
     /// For a flipped route: the site a responder fails over to. If the tie
@@ -1220,56 +1191,13 @@ impl World {
 /// (§5.1.6's longitudinal variability).
 const DAILY_TIE_REROLL: f64 = 0.06;
 
+/// The latency key of the target with id `tid`.
+pub(crate) fn target_key(seed: u64, tid: u64) -> rng::Key {
+    rng::key(seed, &[0x7A26, tid])
+}
+
 /// A *sticky* tie-break: the same member is chosen every day, except that
 /// with probability [`DAILY_TIE_REROLL`] per day the choice re-rolls.
-/// Lock-free body of [`World::forward_site`]: which site of `dep` a probe
-/// from VP-AS position `pos` reaches on `day`, given an already-resolved
-/// catchment handle. Shared by the scalar path and `ProbeSession`, so both
-/// draw from identical RNG keys.
-pub(crate) fn forward_site_in(
-    seed: u64,
-    catchment: &DepCatchment,
-    pos: u16,
-    dep: DeploymentId,
-    src_as: u32,
-    day: u32,
-) -> Option<(usize, u16)> {
-    let (ties, dist) = catchment.per_vp[pos as usize];
-    if ties.is_empty() {
-        return None;
-    }
-    let pick = sticky_tie_pick(seed, 0xF02D, dep.0 as u64, src_as, day, ties.len());
-    Some((ties.as_slice()[pick] as usize, dist))
-}
-
-/// Lock-free body of [`World::receiving_site`], given an already-resolved
-/// routing table toward the platform's sites.
-pub(crate) fn receiving_site_in(
-    seed: u64,
-    routes: &Routes,
-    platform: PlatformId,
-    responder_as: u32,
-    day: u32,
-) -> Option<(usize, u16, TieSet)> {
-    let ties = routes.origins[responder_as as usize];
-    if ties.is_empty() {
-        return None;
-    }
-    let pick = sticky_tie_pick(
-        seed,
-        0x2CAE,
-        platform.0 as u64,
-        responder_as,
-        day,
-        ties.len(),
-    );
-    Some((
-        ties.as_slice()[pick] as usize,
-        routes.dist[responder_as as usize],
-        ties,
-    ))
-}
-
 fn sticky_tie_pick(seed: u64, tag: u64, scope: u64, as_idx: u32, day: u32, n: usize) -> usize {
     if n <= 1 {
         return 0;

@@ -4,7 +4,11 @@
 use std::net::IpAddr;
 
 use laces_netsim::wire::{MeasurementCtx, ProbeSource};
-use laces_netsim::{platform, TargetKind, World, WorldConfig};
+use laces_netsim::{
+    platform, BatchProbe, DeploymentId, PlatformId, TargetId, TargetKind, TieSet, WireStats, World,
+    WorldConfig,
+};
+use laces_obs::Fnv;
 use laces_packet::probe::{build_probe, parse_reply, ProbeEncoding, ProbeMeta, Protocol};
 use laces_packet::PrefixKey;
 
@@ -86,30 +90,24 @@ fn world_generation_is_deterministic() {
 }
 
 /// Derived routing state must be identical across two independent
-/// generations of the same config, regardless of the order the lazy
-/// caches were populated in. Regression test for the ordered-map
-/// conversion of the world caches (platform routes, deployment
-/// catchments, traceroute routes) and the bench artifact cache keys.
+/// generations of the same config: platform routes, deployment
+/// catchments, forward sites and the traceroute destination-route cache.
 #[test]
 fn derived_state_is_identical_across_reruns() {
     let a = tiny_world();
     let b = tiny_world();
 
-    // Populate the caches in opposite orders: lookups must not depend on
-    // insertion order.
     let pids: Vec<_> = (0..a.platforms.len() as u16)
         .map(laces_netsim::PlatformId)
         .filter(|&pid| a.platform(pid).is_anycast())
         .collect();
     for &pid in &pids {
-        a.platform_routes(pid);
-    }
-    for &pid in pids.iter().rev() {
-        b.platform_routes(pid);
-    }
-    for &pid in &pids {
-        let ra = a.platform_routes(pid);
-        let rb = b.platform_routes(pid);
+        let ra = a
+            .platform_routes(pid)
+            .expect("anycast platforms have routes");
+        let rb = b
+            .platform_routes(pid)
+            .expect("anycast platforms have routes");
         assert_eq!(ra.dist, rb.dist, "platform {pid:?} route distances");
         assert_eq!(
             format!("{:?}", ra.origins),
@@ -121,9 +119,6 @@ fn derived_state_is_identical_across_reruns() {
     let dids: Vec<_> = (0..a.deployments.len() as u32)
         .map(laces_netsim::DeploymentId)
         .collect();
-    for &did in dids.iter().rev() {
-        a.dep_catchment(did);
-    }
     for &did in &dids {
         assert_eq!(
             format!("{:?}", a.dep_catchment(did).per_vp),
@@ -155,6 +150,165 @@ fn derived_state_is_identical_across_reruns() {
         let hb = b.traceroute(pid, 0, dst, 3);
         assert_eq!(format!("{ha:?}"), format!("{hb:?}"), "traceroute to {dst}");
     }
+}
+
+/// Fold `vals` into `h`, each as eight little-endian bytes.
+fn put(h: &mut Fnv, vals: &[u64]) {
+    for v in vals {
+        h.update(&v.to_le_bytes());
+    }
+}
+
+fn put_ties(h: &mut Fnv, ties: &TieSet) {
+    put(h, &[ties.len() as u64]);
+    for &t in ties.as_slice() {
+        put(h, &[u64::from(t)]);
+    }
+}
+
+/// Every table the wire reads, frozen at the Tiny world: deployment
+/// catchments, anycast platforms' reply routes, per-target access delays,
+/// forward and receiving site picks, and every delivery of a prepared ICMP
+/// batch (both families) from each Ark VP and production worker, whose
+/// RTT bits pin every distance leg. How these tables are built may change;
+/// what they hold may not.
+#[test]
+fn derived_tables_are_frozen() {
+    let w = tiny_world();
+    let mut h = Fnv::new();
+    let dids: Vec<_> = (0..w.deployments.len() as u32).map(DeploymentId).collect();
+    let anycast: Vec<_> = (0..w.platforms.len() as u16)
+        .map(PlatformId)
+        .filter(|&pid| w.platform(pid).is_anycast())
+        .collect();
+
+    for &did in &dids {
+        for (ties, dist) in &w.dep_catchment(did).per_vp {
+            put_ties(&mut h, ties);
+            put(&mut h, &[u64::from(*dist)]);
+        }
+    }
+    for &pid in &anycast {
+        let routes = w
+            .platform_routes(pid)
+            .expect("anycast platforms have routes");
+        for (dist, ties) in routes.dist.iter().zip(&routes.origins) {
+            put(&mut h, &[u64::from(*dist)]);
+            put_ties(&mut h, ties);
+        }
+    }
+    for tid in 0..w.n_targets() as u32 {
+        put(&mut h, &[w.target_access_ms(TargetId(tid)).to_bits()]);
+    }
+    for &did in &dids {
+        for &vp_as in w.vp_ases() {
+            for day in [0, 7] {
+                match w.forward_site(did, vp_as, day) {
+                    Some((site, dist)) => put(&mut h, &[1, site as u64, u64::from(dist)]),
+                    None => put(&mut h, &[0]),
+                }
+            }
+        }
+    }
+    for &pid in &anycast {
+        for as_idx in 0..w.topo.len() as u32 {
+            for day in [0, 7] {
+                match w.receiving_site(pid, as_idx, day) {
+                    Some((site, dist, ties)) => {
+                        put(&mut h, &[1, site as u64, u64::from(dist)]);
+                        put_ties(&mut h, &ties);
+                    }
+                    None => put(&mut h, &[0]),
+                }
+            }
+        }
+    }
+
+    let ark = w.std_platforms.ark;
+    let prod = w.std_platforms.production;
+    let sources: Vec<(ProbeSource, IpAddr, IpAddr)> = (0..w.platform(ark).n_vps())
+        .map(|vp| {
+            (
+                ProbeSource::Vp { platform: ark, vp },
+                platform::vp_src_v4(ark, vp),
+                platform::vp_src_v6(ark, vp),
+            )
+        })
+        .chain((0..w.platform(prod).n_vps()).map(|site| {
+            (
+                ProbeSource::Worker {
+                    platform: prod,
+                    site,
+                },
+                platform::anycast_src_v4(prod),
+                platform::anycast_src_v6(prod),
+            )
+        }))
+        .collect();
+    let ctx = MeasurementCtx {
+        id: 17,
+        day: 0,
+        span_ms: 31_000,
+    };
+    let stats = WireStats::new();
+    let mut slots = Vec::new();
+    for (i, &(src, src_v4, src_v6)) in sources.iter().enumerate() {
+        let tx_time_ms = i as u64 * 1000;
+        let mut session = w.probe_session(src);
+        for (src_addr, family) in [(src_v4, 0..w.n_v4), (src_v6, w.n_v4..w.n_targets())] {
+            let probes: Vec<BatchProbe<'_>> = family
+                .map(|tid| BatchProbe {
+                    dst: target_addr(&w, TargetId(tid as u32), 77),
+                    bytes: &[],
+                    tx_time_ms,
+                    window_start_ms: 0,
+                    meta: Some((
+                        ProbeMeta {
+                            measurement_id: 17,
+                            worker_id: i as u16,
+                            tx_time_ms,
+                        },
+                        ProbeEncoding::PerWorker,
+                    )),
+                })
+                .collect();
+            w.send_probe_batch(
+                &mut session,
+                src_addr,
+                Protocol::Icmp,
+                &probes,
+                &ctx,
+                &stats,
+                &mut slots,
+            )
+            .expect("prepared probes never parse bytes");
+            for (k, slot) in slots.iter().enumerate() {
+                match slot {
+                    Some(d) => put(
+                        &mut h,
+                        &[
+                            k as u64,
+                            1,
+                            d.rx_index as u64,
+                            d.rx_time_ms,
+                            d.rtt_ms.to_bits(),
+                        ],
+                    ),
+                    None => put(&mut h, &[k as u64, 0]),
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (stats.probes.get(), stats.deliveries.get()),
+        (192_888, 146_395),
+        "prepared batch counts"
+    );
+    assert_eq!(
+        h.finish(),
+        0x9174_ee02_ff2a_f9f7,
+        "derived tables fingerprint"
+    );
 }
 
 #[test]
