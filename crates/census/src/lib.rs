@@ -63,8 +63,6 @@ pub use hijack::{detect_hijacks, DayEvidence, HijackSuspect};
 pub use pipeline::{CensusPipeline, DayOutput, PipelineConfig};
 pub use query::{PrefixPoint, QueryError, QueryService};
 pub use record::{CensusRecord, CensusStats, DailyCensus, GcdSummary};
-#[allow(deprecated)]
-pub use store::CensusQuery;
 pub use store::{CensusStore, StoreError};
 pub use trace_enum::{trace_enumerate, trace_enumerate_all, TraceEnumeration};
 pub use trigger::{run_triggered_verification, TriggerReport, TriggerVerdict};

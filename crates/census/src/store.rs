@@ -443,59 +443,6 @@ impl AsRef<Path> for CensusStore {
     }
 }
 
-/// Query interface over a loaded census run.
-///
-/// Deprecated: this is the eager pattern — every queried day must first be
-/// deserialised in full (one [`CensusStore::load`] per day). The indexed
-/// [`QueryService`](laces_query::QueryService) handle answers the same
-/// queries (and more) byte-identically from the on-disk sidecars without
-/// loading days; it remains here as the reference implementation the
-/// equivalence tests compare against.
-#[deprecated(
-    note = "eager whole-corpus queries; open a handle with `CensusStore::query()` \
-            (laces_query::QueryService) instead"
-)]
-#[derive(Debug, Clone)]
-pub struct CensusQuery {
-    days: Vec<DailyCensus>,
-}
-
-#[allow(deprecated)]
-impl CensusQuery {
-    /// Build from a loaded run.
-    pub fn new(days: Vec<DailyCensus>) -> Self {
-        CensusQuery { days }
-    }
-
-    /// How many days are loaded.
-    pub fn n_days(&self) -> usize {
-        self.days.len()
-    }
-
-    /// The history of one prefix: `(day, anycast_based?, gcd_confirmed?)`.
-    pub fn prefix_history(&self, prefix: laces_packet::PrefixKey) -> Vec<(u32, bool, bool)> {
-        self.days
-            .iter()
-            .map(|d| {
-                let r = d.records.get(&prefix);
-                (
-                    d.day,
-                    r.is_some_and(|r| r.anycast_based_positive()),
-                    r.is_some_and(|r| r.gcd_confirmed()),
-                )
-            })
-            .collect()
-    }
-
-    /// Per-day GCD-confirmed counts.
-    pub fn daily_confirmed_counts(&self) -> BTreeMap<u32, usize> {
-        self.days
-            .iter()
-            .map(|d| (d.day, d.gcd_confirmed().len()))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,19 +851,5 @@ mod tests {
         ];
         assert_eq!(observed, frozen);
         Ok(())
-    }
-
-    #[test]
-    fn query_prefix_history() {
-        #[allow(deprecated)]
-        let q = CensusQuery::new(vec![sample_census(0, 3), sample_census(1, 1)]);
-        assert_eq!(q.n_days(), 2);
-        let p = PrefixKey::V4(laces_packet::Prefix24::from_network(2 << 8));
-        // Prefix #2 (i=1, gcd unicast) exists day 0 only.
-        let h = q.prefix_history(p);
-        assert_eq!(h, vec![(0, true, false), (1, false, false)]);
-        let counts = q.daily_confirmed_counts();
-        assert_eq!(counts[&0], 2); // i = 0, 2 are GCD-anycast
-        assert_eq!(counts[&1], 1);
     }
 }

@@ -66,8 +66,8 @@ pub use error::MeasurementError;
 pub use fault::{FaultPlan, OrderChannelFault, WorkerCrash};
 pub use laces_obs::{Degraded, DegradedReason, RunReport};
 pub use orchestrator::{
-    run_classified, run_measurement, run_measurement_abortable, run_measurement_threaded,
-    run_with_precheck, AbortHandle, PRECHECK_ID_BIT,
+    run_classified, run_measurement, run_measurement_abortable, run_with_precheck, AbortHandle,
+    PRECHECK_ID_BIT,
 };
 pub use results::{
     ClassifiedOutcome, MeasurementOutcome, ProbeRecord, WorkerHealth, WorkerStatus, WorkerTelemetry,

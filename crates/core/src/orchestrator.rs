@@ -6,34 +6,27 @@
 //! stream, and survives worker failures by completing the measurement with
 //! the remaining workers (R5).
 //!
-//! Two pipelines implement the same contract:
+//! The hitlist is split into `spec.shards` deterministic contiguous
+//! slices; each shard runs the stream → probe → capture chain *inline*
+//! with its own per-worker [`ProbeSession`]s, batch accumulators and
+//! capture accumulator, and the accumulators are combined exactly once at
+//! seal time. No channels, no cross-shard locks on the hot path. The
+//! capture step folds each validated reply into the accumulator the entry
+//! point chose: [`run_measurement`] keeps every record in a
+//! [`RecordArena`]; [`run_classified`] (the census day's passes) folds
+//! them into a per-target table and returns the classification without
+//! ever building, sorting or re-reading a record vector.
 //!
-//! * **Sharded** ([`run_measurement`]) — the default. The hitlist is split
-//!   into `spec.shards` deterministic contiguous slices; each shard runs
-//!   the stream → probe → capture chain *inline* with its own per-worker
-//!   [`ProbeSession`]s, batch accumulators and capture accumulator, and
-//!   the accumulators are combined exactly once at seal time. No
-//!   channels, no cross-shard locks on the hot path. The capture step
-//!   folds each validated reply into the accumulator the entry point
-//!   chose: [`run_measurement`] keeps every record in a [`RecordArena`];
-//!   [`run_classified`] (the census day's passes) folds them into a
-//!   per-target table and returns the classification without ever
-//!   building, sorting or re-reading a record vector.
-//! * **Threaded** ([`run_measurement_threaded`]) — the process-shaped
-//!   reference: each Worker is an OS thread and the streams are
-//!   `crossbeam` channels, which mirrors the real system's concurrency
-//!   structure (streaming, backpressure, failure isolation).
-//!
-//! Both produce bit-identical outcomes for abort-free fault plans, and the
-//! sharded pipeline additionally produces byte-identical records,
-//! classification inputs, telemetry and trace exports across shard counts:
-//! every per-order decision (rate window, fault cutoffs, RNG draws, trace
-//! sampling) is a pure function of the order's *global hitlist index* and
-//! per-probe coordinates, never of shard layout or thread interleaving,
-//! and records are canonically re-sorted at seal time. The only
-//! shard-dependent outputs are quarantined in
-//! [`MeasurementOutcome::shard_report`] and the opt-in
-//! [`TraceEvent::ShardSpan`] events.
+//! Records, classification inputs, telemetry and trace exports are
+//! byte-identical across shard counts: every per-order decision (rate
+//! window, fault cutoffs, RNG draws, trace sampling) is a pure function of
+//! the order's *global hitlist index* and per-probe coordinates, never of
+//! shard layout or thread interleaving, and records are canonically
+//! re-sorted at seal time. The only shard-dependent outputs are
+//! quarantined in [`MeasurementOutcome::shard_report`] and the opt-in
+//! [`TraceEvent::ShardSpan`] events. The test suite checks the pipeline
+//! against a single-loop oracle that builds, sends and parses real probe
+//! bytes (`crates/core/tests/common/mod.rs`).
 //!
 //! Every run assembles a [`RunReport`]: aggregate and per-worker counters,
 //! the RTT distribution, a stage timing on the simulated clock, and the
@@ -45,12 +38,10 @@ use std::net::IpAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel;
 use laces_netsim::wire::{BatchProbe, FabricVerdict, MeasurementCtx, ProbeSource};
 use laces_netsim::{platform as plat, Delivery, FabricStats, ProbeSession, WireStats, World};
 use laces_obs::{
-    metrics, names, Counter, DegradedReason, Histogram, RunReport, ShardStages, SimClock,
-    StageTimer,
+    metrics, names, DegradedReason, Histogram, RunReport, ShardStages, SimClock, StageTimer,
 };
 use laces_packet::probe::{attribute_prepared, parse_reply, ProbeMeta};
 use laces_packet::{IpVersion, PrefixKey};
@@ -61,25 +52,18 @@ use crate::classify::{AnycastClassification, ClassTable};
 use crate::error::MeasurementError;
 use crate::rate::window_start_ms;
 use crate::results::{
-    Accumulate, ClassifiedOutcome, MeasurementOutcome, ProbeRecord, RecordArena, WorkerEvent,
-    WorkerFailure, WorkerHealth, WorkerStatus, WorkerTelemetry,
+    Accumulate, ClassifiedOutcome, MeasurementOutcome, ProbeRecord, RecordArena, WorkerHealth,
+    WorkerStatus, WorkerTelemetry,
 };
 use crate::spec::MeasurementSpec;
-use crate::worker::{run_worker, ProbeBatch, ProbeOrder, StartOrder, WorkerOut};
+use crate::worker::{ProbeOrder, StartOrder};
 
-/// How many orders may queue per worker before the hitlist stream blocks
-/// (the paper's Orchestrator buffers the hitlist and streams it; workers
-/// keep only a small in-flight window). Threaded pipeline only.
-const ORDER_QUEUE: usize = 4_096;
-
-/// Probe-batch size: how many orders the Orchestrator groups into one
-/// frame per worker — one channel send on the threaded pipeline, one
-/// `World::send_probe_batch` call on either. Tuned when batching landed:
-/// 256 amortizes channel wakeups and fabric flushes into large frames
-/// while the in-flight window per worker stays modest; larger sizes
-/// measured flat to slightly worse. Framing only: every per-order
-/// decision is keyed on the order's global hitlist index, never on the
-/// frame it travels in.
+/// Probe-batch size: how many orders a shard groups into one frame per
+/// worker, i.e. one `World::send_probe_batch` call. Tuned when batching
+/// landed: 256 amortizes fabric flushes into large frames while the
+/// in-flight window per worker stays modest; larger sizes measured flat
+/// to slightly worse. Framing only: every per-order decision is keyed on
+/// the order's global hitlist index, never on the frame it travels in.
 const BATCH_SIZE: usize = 256;
 
 /// Measurement ids with this bit set are reserved for the internal
@@ -104,9 +88,10 @@ fn worker_wire_id(w: usize) -> u16 {
 /// [`MeasurementError::NotAnycast`] when the spec's platform is a unicast
 /// VP platform, [`MeasurementError::WorkerCount`] when the platform's
 /// worker count cannot be attributed by the probe encodings (1..=64),
+/// [`MeasurementError::SenderOutOfRange`] /
 /// [`MeasurementError::InvalidRate`] / [`MeasurementError::InvalidShardCount`]
-/// when a hand-built spec bypassed the builder with a zero rate or zero
-/// shard count.
+/// when a hand-built spec bypassed the builder with a sender the platform
+/// does not have, a zero rate or a zero shard count.
 pub fn run_measurement(
     world: &Arc<World>,
     spec: &MeasurementSpec,
@@ -215,19 +200,23 @@ fn validated_workers(world: &World, spec: &MeasurementSpec) -> Result<usize, Mea
     if !(1..=64).contains(&n_workers) {
         return Err(MeasurementError::WorkerCount { n_workers });
     }
-    // The builder rejects these up front; hand-built specs that bypassed it
-    // are rejected here rather than silently repaired (the old 0 → 1
-    // rate clamp turned misconfigured censuses into 10 000× slower ones).
+    // The builder rejects these up front. Specs that bypassed it, or were
+    // edited after it ran (the precheck sets its sender afterwards), are
+    // rejected here rather than silently repaired: a zero rate clamped to
+    // 1/s runs 10 000× slower than a census asks, and a sender the
+    // platform lacks probes nothing, so its precheck would skip every
+    // target.
     if spec.rate_per_s == 0 {
         return Err(MeasurementError::InvalidRate);
     }
     if spec.shards == 0 {
         return Err(MeasurementError::InvalidShardCount);
     }
+    spec.check_senders(n_workers)?;
     Ok(n_workers)
 }
 
-/// The run-level gauges every pipeline records before streaming.
+/// The run-level gauges every pass records before streaming.
 fn base_telemetry(spec: &MeasurementSpec, n_workers: usize, span_ms: u64) -> RunReport {
     let mut telemetry = RunReport::new();
     telemetry.set_gauge(names::orchestrator::N_WORKERS, n_workers as u64);
@@ -253,9 +242,9 @@ fn base_telemetry(spec: &MeasurementSpec, n_workers: usize, span_ms: u64) -> Run
     telemetry
 }
 
-/// The complete (and cheap) measurement over an empty hitlist: spawning a
-/// platform of workers — or shards — to stream zero orders would only burn
-/// threads. Prechecks over fully-unresponsive target sets hit this path.
+/// The complete (and cheap) measurement over an empty hitlist: spawning
+/// shards to stream zero orders would only burn threads. Prechecks over
+/// fully-unresponsive target sets hit this path.
 /// The fault plan still applies where it would with real workers: start
 /// orders are authenticated before any probing, so seal rejections fail
 /// their workers even here, and a crash scheduled after zero orders fires
@@ -328,21 +317,6 @@ fn platform_src_addr(spec: &MeasurementSpec) -> IpAddr {
     }
 }
 
-/// Everything a pipeline hands to the shared epilogue.
-struct RunTotals {
-    probes_sent: u64,
-    failed_workers: Vec<u16>,
-    worker_health: Vec<WorkerHealth>,
-    telemetry: RunReport,
-    shard_report: RunReport,
-    orders_streamed: u64,
-    rate_limiter_stalls: u64,
-    /// Validated captures kept (the record path's record count).
-    records_collected: u64,
-    /// RTTs of the kept captures, observed as they were captured.
-    rtts: Histogram,
-}
-
 /// What a finished pass reports about itself, whichever accumulator its
 /// captures went to.
 struct PassReport {
@@ -357,15 +331,23 @@ struct PassReport {
 
 impl PassReport {
     /// The record path's outcome: `records` (a multiset) in canonical
-    /// order. Shards (or worker threads) race to the result stream, so the
-    /// arrival order is scheduler noise; sorting makes equal runs
-    /// serialise identically (fault plans are replayable bit-for-bit).
+    /// order. The shards' arenas merge in no meaningful order; sorting
+    /// makes equal runs serialise identically (fault plans are replayable
+    /// bit-for-bit).
     fn into_outcome(
         self,
         spec: &MeasurementSpec,
         mut records: Vec<ProbeRecord>,
     ) -> MeasurementOutcome {
-        sort_canonical(&mut records);
+        records.sort_unstable_by_key(|r| {
+            (
+                r.prefix,
+                r.tx_worker,
+                r.rx_worker,
+                r.tx_time_ms,
+                r.rx_time_ms,
+            )
+        });
         let PassReport {
             n_workers,
             probes_sent,
@@ -392,95 +374,6 @@ impl PassReport {
     }
 }
 
-/// The shared measurement epilogue: stream counters, abort accounting,
-/// the RTT distribution and the stage span — identical for every pipeline
-/// and accumulator so their reports stay comparable field by field.
-fn seal_report(
-    spec: &MeasurementSpec,
-    n_workers: usize,
-    span_ms: u64,
-    abort: &AbortHandle,
-    tracer: &Tracer,
-    totals: RunTotals,
-) -> PassReport {
-    let RunTotals {
-        probes_sent,
-        mut failed_workers,
-        worker_health: mut health,
-        mut telemetry,
-        shard_report,
-        orders_streamed,
-        rate_limiter_stalls,
-        records_collected,
-        rtts,
-    } = totals;
-    failed_workers.sort_unstable();
-    health.sort_unstable_by_key(|h| h.worker);
-
-    telemetry.inc(names::orchestrator::ORDERS_STREAMED, orders_streamed);
-    telemetry.inc(
-        names::orchestrator::RATE_LIMITER_STALLS,
-        rate_limiter_stalls,
-    );
-    telemetry.inc(names::orchestrator::RECORDS_COLLECTED, records_collected);
-    if abort.is_aborted() {
-        telemetry.inc(names::orchestrator::ABORTS, 1);
-        telemetry.add_degraded(DegradedReason::Aborted);
-    }
-    // The RTT distribution of the kept captures: a multiset, so the
-    // capture order cannot show.
-    telemetry.record_histogram(names::worker::RTT_MS, rtts.snapshot());
-    // Stage timing on the simulated clock: the probing phase spans the
-    // rate-limited hitlist stream plus the last worker's offset window
-    // (R6's quantity, per measurement).
-    let mut clock = SimClock::new();
-    let mut stage = StageTimer::start(format!("measurement:{:?}", spec.protocol), &clock);
-    stage.count("targets", spec.targets.len() as u64);
-    stage.count("probes_sent", probes_sent);
-    let sim_ms = window_start_ms(spec.targets.len().saturating_sub(1), spec.rate_per_s) + span_ms;
-    clock.advance(sim_ms);
-    telemetry.push_stage(stage.finish(&clock));
-    tracer.record(Component::Control, || TraceEvent::StageSpan {
-        name: format!("measurement:{:?}", spec.protocol),
-        start_ms: 0,
-        sim_ms,
-    });
-
-    PassReport {
-        n_workers,
-        probes_sent,
-        failed_workers,
-        worker_health: health,
-        telemetry,
-        shard_report,
-        trace_report: tracer.snapshot(""),
-    }
-}
-
-/// The canonical record sort shared by both pipelines.
-pub(crate) fn sort_canonical(records: &mut [ProbeRecord]) {
-    records.sort_unstable_by(|a, b| {
-        (
-            a.prefix,
-            a.tx_worker,
-            a.rx_worker,
-            a.tx_time_ms,
-            a.rx_time_ms,
-        )
-            .cmp(&(
-                b.prefix,
-                b.tx_worker,
-                b.rx_worker,
-                b.tx_time_ms,
-                b.rx_time_ms,
-            ))
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Sharded pipeline
-// ---------------------------------------------------------------------------
-
 /// How a shard disposes of a delivery addressed to worker `rx`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CaptureMode {
@@ -489,8 +382,9 @@ enum CaptureMode {
     /// The worker is scheduled to crash: whether its captures survive
     /// depends on whether the crash point is actually reached, which is
     /// only known once the stream ends. Buffer them; a surviving worker
-    /// drains the buffer in the final phase, a crashed one loses it —
-    /// exactly the threaded pipeline's deferred-drain semantics.
+    /// drains the buffer in the final phase, a crashed one loses it (which
+    /// captures a dying worker flushed before the crash is a scheduling
+    /// race in the real system; "none" keeps reruns bit-identical).
     Deferred,
     /// The worker's start order failed authentication: it never runs, and
     /// deliveries to it vanish like packets to a dead site.
@@ -524,9 +418,9 @@ struct WorkerPlan {
 impl WorkerPlan {
     fn of(spec: &MeasurementSpec, world: &World, wid: u16, src_addr: IpAddr, span_ms: u64) -> Self {
         let sender = spec.is_sender(wid);
-        // Authentication is exercised for real, exactly as the threaded
-        // pipeline does: seal a start order (under a corrupted key when the
-        // fault plan says so) and try to open it with the worker's key.
+        // Authentication is exercised for real: seal a start order (under
+        // a corrupted key when the fault plan says so) and try to open it
+        // with the worker's key (R8).
         let key = AuthKey::derive(world.cfg.seed ^ u64::from(spec.id));
         let seal_key = if spec.faults.rejects_seal(wid) {
             AuthKey::derive(world.cfg.seed ^ u64::from(spec.id) ^ 0x0BAD_5EA1)
@@ -625,8 +519,9 @@ impl<'a, A: Accumulate> CaptureSink<'a, A> {
     }
 
     /// Validate one capture at worker `rx` of the reply from the target at
-    /// hitlist position `pos`, and fold it into the accumulator — the
-    /// inline analogue of the threaded worker's capture filter.
+    /// hitlist position `pos`, and fold it into the accumulator. Anything
+    /// that is not a reply to this measurement (other measurements,
+    /// backscatter) is rejected, as the real capture filter rejects it.
     fn capture(&mut self, d: &Delivery, rx: usize, pos: usize) {
         let rx_worker = worker_wire_id(rx);
         let prefix = PrefixKey::of(d.packet.src);
@@ -945,8 +840,8 @@ fn run_shard<'a, A: Accumulate>(
             }
         }
     }
-    // End of slice: flush the partial tail batches (unless aborted — the
-    // threaded streamer drops accumulated batches on abort too).
+    // End of slice: flush the partial tail batches (unless aborted: the
+    // abort drops accumulated batches).
     if !aborted {
         for w in 0..n_workers {
             flush!(w);
@@ -958,9 +853,7 @@ fn run_shard<'a, A: Accumulate>(
     // predecessor's, seeded from the last index *before* the slice so the
     // per-shard counts sum to the single-streamer count. Counting here
     // (rather than inside the loop) keeps the count exact even when an
-    // abort cut the loop short — the threaded pipeline's count under abort
-    // is scheduler noise anyway, and fault-free runs are what the
-    // invariance contract pins.
+    // abort cut the loop short.
     let mut rate_limiter_stalls = 0u64;
     let mut prev = if lo == 0 {
         0
@@ -1003,8 +896,7 @@ fn run_shard<'a, A: Accumulate>(
     }
 }
 
-/// [`run_measurement`] with a cancellation handle — the sharded inline
-/// pipeline.
+/// [`run_measurement`] with a cancellation handle.
 ///
 /// # Errors
 ///
@@ -1116,8 +1008,7 @@ fn run_sharded<A: Accumulate>(
 
     // Deferred-capture resolution: a crash-scheduled worker that survived
     // (the stream ended before its crash point) drains its buffered
-    // deliveries now, exactly like the threaded worker's final capture
-    // phase; a crashed worker loses them with its site. Each shard's
+    // deliveries now; a crashed worker loses them with its site. Each shard's
     // deliveries lie in its own slice, so they drain into its own sink.
     for o in &mut outs {
         for (rx, &crashed) in crash_fires.iter().enumerate() {
@@ -1131,9 +1022,7 @@ fn run_sharded<A: Accumulate>(
         }
     }
 
-    // Per-worker terminal accounting, in worker order. (The threaded
-    // pipeline merges in arrival order; every merge operation is
-    // order-independent, so the reports agree.)
+    // Per-worker terminal accounting, in worker order.
     let mut probes_sent = 0u64;
     let mut records_collected = 0u64;
     let mut failed_workers: Vec<u16> = Vec::new();
@@ -1234,350 +1123,47 @@ fn run_sharded<A: Accumulate>(
         accs.push(o.sink.acc);
     }
 
-    let report = seal_report(
-        spec,
-        n_workers,
-        span_ms,
-        abort,
-        &tracer,
-        RunTotals {
-            probes_sent,
-            failed_workers,
-            worker_health,
-            telemetry,
-            shard_report,
-            orders_streamed,
-            rate_limiter_stalls,
-            records_collected,
-            rtts,
-        },
+    // The pass's epilogue: stream counters, abort accounting, the RTT
+    // distribution and the stage span.
+    telemetry.inc(names::orchestrator::ORDERS_STREAMED, orders_streamed);
+    telemetry.inc(
+        names::orchestrator::RATE_LIMITER_STALLS,
+        rate_limiter_stalls,
     );
-    Ok((accs, report))
-}
-
-// ---------------------------------------------------------------------------
-// Threaded pipeline (reference)
-// ---------------------------------------------------------------------------
-
-/// Run a measurement on the threaded reference pipeline: one OS thread per
-/// worker, `crossbeam` channels for the order stream, capture fabric and
-/// result stream — the process-shaped concurrency structure of the real
-/// system. Produces outcomes bit-identical to [`run_measurement`] for
-/// abort-free fault plans (modulo [`MeasurementOutcome::shard_report`],
-/// which it leaves empty); kept as the semantic reference the sharded
-/// pipeline is tested against.
-///
-/// # Errors
-///
-/// As [`run_measurement`].
-pub fn run_measurement_threaded(
-    world: &Arc<World>,
-    spec: &MeasurementSpec,
-) -> Result<MeasurementOutcome, MeasurementError> {
-    let abort = &AbortHandle::new();
-    let n_workers = validated_workers(world, spec)?;
-    let span_ms = spec.span_ms(n_workers);
-    let tracer = Tracer::new(spec.trace);
-    let mut telemetry = base_telemetry(spec, n_workers, span_ms);
-
-    if spec.targets.is_empty() {
-        let report = empty_hitlist_report(spec, n_workers, telemetry, &tracer);
-        return Ok(report.into_outcome(spec, Vec::new()));
+    telemetry.inc(names::orchestrator::RECORDS_COLLECTED, records_collected);
+    if abort.is_aborted() {
+        telemetry.inc(names::orchestrator::ABORTS, 1);
+        telemetry.add_degraded(DegradedReason::Aborted);
     }
-
-    let key = AuthKey::derive(world.cfg.seed ^ u64::from(spec.id));
-    let src_addr = platform_src_addr(spec);
-
-    // Channels: per-worker bounded order queues; unbounded capture fabric
-    // (replies in flight; unbounded rules out cyclic backpressure deadlock);
-    // one shared result stream.
-    let mut order_txs = Vec::with_capacity(n_workers);
-    let mut order_rxs = Vec::with_capacity(n_workers);
-    let mut cap_txs = Vec::with_capacity(n_workers);
-    let mut cap_rxs = Vec::with_capacity(n_workers);
-    // The queue bound is denominated in *orders*: batching the stream must
-    // not multiply the per-worker in-flight window by the batch size.
-    for _ in 0..n_workers {
-        let (ot, or) = channel::bounded::<ProbeBatch>(ORDER_QUEUE / BATCH_SIZE);
-        order_txs.push(ot);
-        order_rxs.push(or);
-        let (ct, cr) = channel::unbounded();
-        cap_txs.push(ct);
-        cap_rxs.push(cr);
-    }
-    let (out_tx, out_rx) = channel::unbounded::<WorkerOut>();
-
-    let mut records = Vec::new();
-    let mut rtts = Histogram::new(&metrics::RTT_BUCKETS_MS);
-    let mut probes_sent = 0u64;
-    let mut failed_workers = Vec::new();
-    let mut worker_health: Vec<WorkerHealth> = Vec::with_capacity(n_workers);
-
-    // Streamer-side counters, shared by reference with the stream thread
-    // inside the scope. Orders-streamed is a plain sum; stalls count the
-    // schedule's rate-limiter waits (the points where the next target's
-    // window opens strictly later than the previous one's) — derived from
-    // the deterministic schedule, not from channel backpressure, which is
-    // scheduler noise.
-    let orders_streamed = Counter::new();
-    let order_stalls = Counter::new();
-
-    std::thread::scope(|scope| {
-        for (w, (orders, captures)) in order_rxs.into_iter().zip(cap_rxs).enumerate() {
-            let wid = worker_wire_id(w);
-            let start = StartOrder {
-                measurement_id: spec.id,
-                platform: spec.platform,
-                worker_id: wid,
-                protocol: spec.protocol,
-                encoding: spec.encoding,
-                offset_ms: spec.offset_ms,
-                span_ms,
-                day: spec.day,
-                src_addr,
-                fail_after: spec.faults.crash_after(wid),
-                fabric_faults: spec.faults.fabric,
-            };
-            // A seal-rejection fault seals this worker's order under a key
-            // derived from a corrupted seed, so the worker's own key (R8)
-            // refuses it.
-            let seal_key = if spec.faults.rejects_seal(wid) {
-                AuthKey::derive(world.cfg.seed ^ u64::from(spec.id) ^ 0x0BAD_5EA1)
-            } else {
-                key
-            };
-            let sealed = Sealed::seal(seal_key, start);
-            let fabric = cap_txs.clone();
-            let out = out_tx.clone();
-            let out_err = out_tx.clone();
-            let world = Arc::clone(world);
-            let worker_tracer = tracer.clone();
-            scope.spawn(move || {
-                // A worker whose start order fails authentication never
-                // starts; the platform degrades to the remaining workers
-                // instead of poisoning the thread scope (R5).
-                if run_worker(
-                    &world,
-                    key,
-                    sealed,
-                    orders,
-                    captures,
-                    fabric,
-                    out,
-                    worker_tracer,
-                )
-                .is_err()
-                {
-                    // laces-lint: allow(discarded-fallibility) — failure event on a channel the aborting CLI may already have closed; the degradation is also recorded by the collector's own accounting
-                    let _ = out_err.send(WorkerOut::Event(WorkerEvent::Failed {
-                        worker: wid,
-                        telemetry: WorkerTelemetry::default(),
-                        cause: WorkerFailure::SealRejected,
-                    }));
-                }
-            });
-        }
-        // The orchestrator keeps no capture senders or result senders.
-        drop(cap_txs);
-        drop(out_tx);
-
-        // Stream the hitlist at the configured rate. Each target is ordered
-        // to every worker; a worker that died has a closed queue and is
-        // skipped (R5: measurement continues with the remaining workers).
-        let stream_abort = abort.clone();
-        let orders_streamed = &orders_streamed;
-        let order_stalls = &order_stalls;
-        let stream_tracer = tracer.clone();
-        scope.spawn(move || {
-            let mut txs: Vec<Option<_>> = order_txs.into_iter().map(Some).collect();
-            let mut sent = vec![0usize; txs.len()];
-            // Per-worker batch accumulators: one channel send per
-            // `BATCH_SIZE` orders instead of one per target. Fault
-            // semantics stay per-order — delays and closes are applied to
-            // individual orders before they enter a batch.
-            let mut pending: Vec<Vec<ProbeOrder>> = txs.iter().map(|_| Vec::new()).collect();
-            let flush =
-                |w: usize, pending: &mut Vec<Vec<ProbeOrder>>, tx: &channel::Sender<ProbeBatch>| {
-                    if pending[w].is_empty() {
-                        return;
-                    }
-                    let orders = std::mem::take(&mut pending[w]);
-                    orders_streamed.add(orders.len() as u64);
-                    // laces-lint: allow(discarded-fallibility) — a closed order queue means the worker died; skipping it is R5 graceful degradation (the measurement continues with the remaining workers)
-                    let _ = tx.send(ProbeBatch { orders });
-                };
-            let mut aborted = false;
-            let mut last_window = 0u64;
-            for (i, &target) in spec.targets.iter().enumerate() {
-                if stream_abort.is_aborted() {
-                    // CLI disconnected: stop streaming; workers wind down.
-                    // Accumulated but unsent batches are dropped — the
-                    // abort cuts the stream at a batch boundary (R3: no
-                    // unnecessary probes).
-                    aborted = true;
-                    break;
-                }
-                let window = window_start_ms(i, spec.rate_per_s);
-                if window > last_window {
-                    order_stalls.inc();
-                    last_window = window;
-                }
-                let order = ProbeOrder {
-                    target,
-                    window_start_ms: window,
-                };
-                let prefix = PrefixKey::of(target);
-                for w in 0..txs.len() {
-                    let wid = worker_wire_id(w);
-                    // Non-sender workers (single-VP precheck mode) receive
-                    // no orders but still capture replies.
-                    if !spec.is_sender(wid) {
-                        continue;
-                    }
-                    if let Some(f) = spec.faults.order_fault(wid) {
-                        if i < f.delay_orders {
-                            // The channel came up late; early orders are
-                            // lost in the disconnected stream.
-                            stream_tracer.record_for(Component::Orchestrator, prefix, || {
-                                TraceEvent::OrderFault {
-                                    prefix,
-                                    worker: wid,
-                                    cause: OrderFaultCause::Delayed,
-                                }
-                            });
-                            continue;
-                        }
-                        if f.close_after.is_some_and(|c| sent[w] >= c) {
-                            // Dropping the sender closes the worker's order
-                            // stream; it completes with what it received —
-                            // including a final partial batch.
-                            if let Some(tx) = txs[w].take() {
-                                flush(w, &mut pending, &tx);
-                            }
-                            stream_tracer.record_for(Component::Orchestrator, prefix, || {
-                                TraceEvent::OrderFault {
-                                    prefix,
-                                    worker: wid,
-                                    cause: OrderFaultCause::ChannelClosed,
-                                }
-                            });
-                            continue;
-                        }
-                    }
-                    if let Some(tx) = &txs[w] {
-                        stream_tracer.record_for(Component::Orchestrator, prefix, || {
-                            TraceEvent::OrderIssued {
-                                prefix,
-                                worker: wid,
-                                window_start_ms: window,
-                            }
-                        });
-                        pending[w].push(order);
-                        sent[w] += 1;
-                        if pending[w].len() >= BATCH_SIZE {
-                            flush(w, &mut pending, tx);
-                        }
-                    }
-                }
-            }
-            // End of hitlist: flush the partial tail batches.
-            if !aborted {
-                for (w, tx) in txs.iter().enumerate() {
-                    if let Some(tx) = tx {
-                        flush(w, &mut pending, tx);
-                    }
-                }
-            }
-            // Dropping the senders closes every worker's order stream.
-        });
-
-        // Aggregate the live result stream (this is the CLI's sink file).
-        for msg in out_rx.iter() {
-            match msg {
-                WorkerOut::Records(batch) => {
-                    for rtt in batch.iter().filter_map(ProbeRecord::rtt_ms) {
-                        rtts.observe(rtt);
-                    }
-                    records.extend(batch);
-                    if spec
-                        .faults
-                        .abort_after_records
-                        .is_some_and(|n| records.len() >= n)
-                    {
-                        // Mid-stream abort fault: the CLI disconnects, but
-                        // everything collected so far is kept.
-                        abort.abort();
-                    }
-                }
-                WorkerOut::Event(WorkerEvent::Done {
-                    worker,
-                    telemetry: t,
-                }) => {
-                    probes_sent += t.probes_sent;
-                    merge_worker_telemetry(&mut telemetry, worker, &t);
-                    worker_health.push(WorkerHealth {
-                        worker,
-                        status: WorkerStatus::Completed,
-                        probes_sent: t.probes_sent,
-                    });
-                }
-                WorkerOut::Event(WorkerEvent::Failed {
-                    worker,
-                    telemetry: t,
-                    cause,
-                }) => {
-                    probes_sent += t.probes_sent;
-                    merge_worker_telemetry(&mut telemetry, worker, &t);
-                    // One unsampled fault event per failed worker: probes it
-                    // had not sent and captures it held are attributed to it
-                    // by `TraceReport::explain`.
-                    tracer.record(Component::Control, || TraceEvent::WorkerFault {
-                        worker,
-                        cause: match cause {
-                            WorkerFailure::Crash => "crash".into(),
-                            WorkerFailure::SealRejected => "seal rejected".into(),
-                        },
-                        after_probes: t.probes_sent,
-                    });
-                    match cause {
-                        WorkerFailure::Crash => {
-                            telemetry.add_degraded(DegradedReason::WorkerCrashed { worker });
-                        }
-                        WorkerFailure::SealRejected => {
-                            telemetry.inc(names::orchestrator::SEAL_REJECTIONS, 1);
-                            telemetry.add_degraded(DegradedReason::SealRejected { worker });
-                        }
-                    }
-                    failed_workers.push(worker);
-                    worker_health.push(WorkerHealth {
-                        worker,
-                        status: WorkerStatus::Failed,
-                        probes_sent: t.probes_sent,
-                    });
-                }
-            }
-        }
+    // The RTT distribution of the kept captures: a multiset, so the
+    // capture order cannot show.
+    telemetry.record_histogram(names::worker::RTT_MS, rtts.snapshot());
+    // Stage timing on the simulated clock: the probing phase spans the
+    // rate-limited hitlist stream plus the last worker's offset window
+    // (R6's quantity, per measurement).
+    let mut clock = SimClock::new();
+    let mut stage = StageTimer::start(format!("measurement:{:?}", spec.protocol), &clock);
+    stage.count("targets", n as u64);
+    stage.count("probes_sent", probes_sent);
+    let sim_ms = window_start_ms(n - 1, spec.rate_per_s) + span_ms;
+    clock.advance(sim_ms);
+    telemetry.push_stage(stage.finish(&clock));
+    tracer.record(Component::Control, || TraceEvent::StageSpan {
+        name: format!("measurement:{:?}", spec.protocol),
+        start_ms: 0,
+        sim_ms,
     });
 
-    let report = seal_report(
-        spec,
+    let report = PassReport {
         n_workers,
-        span_ms,
-        abort,
-        &tracer,
-        RunTotals {
-            probes_sent,
-            failed_workers,
-            worker_health,
-            telemetry,
-            shard_report: RunReport::new(),
-            orders_streamed: orders_streamed.get(),
-            rate_limiter_stalls: order_stalls.get(),
-            records_collected: records.len() as u64,
-            rtts,
-        },
-    );
-    Ok(report.into_outcome(spec, records))
+        probes_sent,
+        failed_workers,
+        worker_health,
+        telemetry,
+        shard_report,
+        trace_report: tracer.snapshot(""),
+    };
+    Ok((accs, report))
 }
 
 /// Result of a prechecked measurement (§6 future work: "check
@@ -1614,7 +1200,9 @@ impl PrecheckedOutcome {
 /// [`MeasurementError::ReservedId`] when `spec.id` has [`PRECHECK_ID_BIT`]
 /// set: the precheck pass needs its own measurement id (replies to the
 /// precheck must not validate against the full pass), and ids with that
-/// bit are reserved for it. Platform errors as [`run_measurement`].
+/// bit are reserved for it. [`MeasurementError::SenderOutOfRange`] when
+/// `precheck_worker` is not a worker of the platform. Platform errors as
+/// [`run_measurement`].
 pub fn run_with_precheck(
     world: &Arc<World>,
     spec: &MeasurementSpec,

@@ -1,62 +1,7 @@
 //! Rate control (R3, R10).
 //!
 //! The Orchestrator streams the hitlist to the Workers at a configured
-//! rate. In virtual time this is a deterministic schedule; the
-//! [`TokenBucket`] additionally provides the classic real-time limiter the
-//! production tool would use, so both pieces are exercised.
-
-/// A token bucket: `rate` tokens per second, burst capacity `burst`.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    rate_per_ms: f64,
-    burst: f64,
-    tokens: f64,
-    last_ms: u64,
-}
-
-impl TokenBucket {
-    /// Create a bucket with the given rate (tokens/second) and burst size.
-    pub fn new(rate_per_s: u32, burst: u32) -> Self {
-        TokenBucket {
-            rate_per_ms: f64::from(rate_per_s) / 1000.0,
-            burst: f64::from(burst.max(1)),
-            tokens: f64::from(burst.max(1)),
-            last_ms: 0,
-        }
-    }
-
-    /// Try to take one token at time `now_ms`; returns whether it was
-    /// granted.
-    pub fn try_take(&mut self, now_ms: u64) -> bool {
-        self.refill(now_ms);
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The earliest time at or after `now_ms` when a token will be
-    /// available.
-    pub fn next_available_ms(&mut self, now_ms: u64) -> u64 {
-        self.refill(now_ms);
-        if self.tokens >= 1.0 {
-            now_ms
-        } else {
-            let deficit = 1.0 - self.tokens;
-            now_ms + (deficit / self.rate_per_ms).ceil() as u64
-        }
-    }
-
-    fn refill(&mut self, now_ms: u64) {
-        if now_ms > self.last_ms {
-            let dt = (now_ms - self.last_ms) as f64;
-            self.tokens = (self.tokens + dt * self.rate_per_ms).min(self.burst);
-            self.last_ms = now_ms;
-        }
-    }
-}
+//! rate. In virtual time this is a deterministic schedule.
 
 /// The deterministic hitlist schedule: target `i` is dispatched at
 /// `i * 1000 / rate` milliseconds.
@@ -97,44 +42,5 @@ mod tests {
     fn zero_rate_is_unreachable_not_clamped() {
         assert_eq!(window_start_ms(0, 0), u64::MAX);
         assert_eq!(window_start_ms(5, 0), u64::MAX);
-    }
-
-    #[test]
-    fn bucket_enforces_rate() {
-        let mut b = TokenBucket::new(1000, 1); // 1 token per ms
-        assert!(b.try_take(0));
-        assert!(!b.try_take(0), "burst of 1 exhausted");
-        assert!(b.try_take(1));
-        assert!(b.try_take(2));
-        assert!(!b.try_take(2));
-    }
-
-    #[test]
-    fn bucket_burst_allows_bursts() {
-        let mut b = TokenBucket::new(10, 5);
-        for _ in 0..5 {
-            assert!(b.try_take(0));
-        }
-        assert!(!b.try_take(0));
-    }
-
-    #[test]
-    fn next_available_is_exact() {
-        let mut b = TokenBucket::new(100, 1); // 0.1 token/ms
-        assert!(b.try_take(0));
-        let t = b.next_available_ms(0);
-        assert_eq!(t, 10);
-        assert!(b.try_take(t));
-    }
-
-    #[test]
-    fn tokens_cap_at_burst() {
-        let mut b = TokenBucket::new(1000, 2);
-        assert!(b.try_take(0));
-        // A long idle period must not accumulate more than `burst`.
-        b.refill(1_000_000);
-        assert!(b.try_take(1_000_000));
-        assert!(b.try_take(1_000_000));
-        assert!(!b.try_take(1_000_000));
     }
 }

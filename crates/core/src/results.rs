@@ -125,10 +125,10 @@ impl RecordArena {
     }
 }
 
-/// What one worker observed about its own run, carried back to the
-/// Orchestrator inside its terminal [`WorkerEvent`]. Every field is a sum
-/// of per-probe / per-capture contributions, so the merged totals are
-/// independent of thread scheduling (the obs determinism rules).
+/// What one worker observed about its own run, summed over the shards
+/// that carried its orders. Every field is a sum of per-probe /
+/// per-capture contributions, so the totals are independent of shard
+/// layout and thread scheduling (the obs determinism rules).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerTelemetry {
     /// Probes the worker transmitted.
@@ -145,37 +145,6 @@ pub struct WorkerTelemetry {
     pub records_streamed: u64,
     /// Captures rejected by the filter (other measurements, backscatter).
     pub captures_rejected: u64,
-}
-
-/// Why a worker failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkerFailure {
-    /// The worker disconnected mid-measurement (outage; R5).
-    Crash,
-    /// The worker's start order failed authentication (R8); it never
-    /// probed.
-    SealRejected,
-}
-
-/// Worker lifecycle events interleaved with results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WorkerEvent {
-    /// Worker finished its order stream and drained captures.
-    Done {
-        /// Worker id.
-        worker: u16,
-        /// What the worker observed.
-        telemetry: WorkerTelemetry,
-    },
-    /// Worker dropped out of the measurement (R5).
-    Failed {
-        /// Worker id.
-        worker: u16,
-        /// What the worker observed before failing.
-        telemetry: WorkerTelemetry,
-        /// Why it failed.
-        cause: WorkerFailure,
-    },
 }
 
 /// Terminal state of one worker within a measurement.

@@ -124,6 +124,20 @@ impl MeasurementSpec {
         self.senders.as_ref().is_none_or(|s| s.contains(&worker))
     }
 
+    /// Reject a sender restriction that names a worker outside
+    /// `0..n_workers` ([`MeasurementError::SenderOutOfRange`]).
+    pub(crate) fn check_senders(&self, n_workers: usize) -> Result<(), MeasurementError> {
+        match self
+            .senders
+            .iter()
+            .flatten()
+            .find(|&&w| usize::from(w) >= n_workers)
+        {
+            Some(&worker) => Err(MeasurementError::SenderOutOfRange { worker, n_workers }),
+            None => Ok(()),
+        }
+    }
+
     /// Window span between the first and last probe a target receives.
     pub fn span_ms(&self, n_workers: usize) -> u64 {
         self.offset_ms * (n_workers.saturating_sub(1)) as u64
@@ -250,11 +264,7 @@ impl MeasurementSpecBuilder {
         if spec.id & PRECHECK_ID_BIT != 0 {
             return Err(MeasurementError::ReservedId { id: spec.id });
         }
-        if let Some(senders) = &spec.senders {
-            if let Some(&worker) = senders.iter().find(|&&w| usize::from(w) >= n_workers) {
-                return Err(MeasurementError::SenderOutOfRange { worker, n_workers });
-            }
-        }
+        spec.check_senders(n_workers)?;
         if let Some(fabric) = &spec.faults.fabric {
             for (name, rate) in [
                 ("drop_rate", fabric.drop_rate),

@@ -281,6 +281,18 @@ fn seal_rejection_degrades_instead_of_panicking() {
         31 * outcome.n_targets as u64,
         "platform degrades to the surviving workers"
     );
+    // A refused worker emits nothing: it keeps and rejects no captures,
+    // and no record names it as sender or receiver.
+    assert_eq!(outcome.telemetry.counter("worker.004.records_streamed"), 0);
+    assert_eq!(outcome.telemetry.counter("worker.004.captures_rejected"), 0);
+    assert!(outcome
+        .records
+        .iter()
+        .all(|r| r.rx_worker != 4 && r.tx_worker != Some(4)));
+    // Non-vacuity: without the fault, worker 4 both sends and receives.
+    let clean = run_measurement(&w, &census_spec(&w, 930, FaultPlan::none())).expect("valid spec");
+    assert!(clean.records.iter().any(|r| r.rx_worker == 4));
+    assert!(clean.records.iter().any(|r| r.tx_worker == Some(4)));
 }
 
 #[test]
@@ -397,6 +409,40 @@ fn precheck_rejects_ids_in_the_reserved_space() {
         0,
     );
     assert!(run_with_precheck(&w, &ok, 0).is_ok());
+}
+
+/// A sender the platform does not have is rejected at run time too, not
+/// only by the builder: the precheck sets its single sender after the
+/// builder ran, and an out-of-range one used to skip every target.
+#[test]
+fn out_of_range_sender_is_a_typed_error_at_run_time() {
+    let w = world();
+    let targets: Vec<IpAddr> = v4_hitlist(&w).iter().take(200).copied().collect();
+    let spec = MeasurementSpec::builder(967, w.std_platforms.production)
+        .targets(Arc::new(targets))
+        .build(&w)
+        .expect("valid spec");
+    let err = run_with_precheck(&w, &spec, 32).expect_err("worker 32 does not exist");
+    assert_eq!(
+        err,
+        MeasurementError::SenderOutOfRange {
+            worker: 32,
+            n_workers: 32
+        }
+    );
+    let mut edited = spec.clone();
+    edited.senders = Some(vec![40]);
+    let err = run_measurement(&w, &edited).expect_err("worker 40 does not exist");
+    assert_eq!(
+        err,
+        MeasurementError::SenderOutOfRange {
+            worker: 40,
+            n_workers: 32
+        }
+    );
+    // The last worker is in range.
+    let pre = run_with_precheck(&w, &spec, 31).expect("worker 31 exists");
+    assert!(pre.responsive_targets > 0 && pre.precheck_probes == 200);
 }
 
 #[test]

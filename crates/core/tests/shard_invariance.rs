@@ -14,23 +14,24 @@
 //! crash. Every spec also runs through the census's classify-at-capture
 //! entry, which must report the same pass (`common::run_both`), on the v4
 //! hitlist, a CHAOS hitlist and a hitlist that repeats prefixes. Two
-//! references anchor the sharded pipeline: the live threaded
-//! orchestrator, and the frozen answer of the pre-batching scalar
-//! pipeline on the full v4 hitlist.
+//! references anchor the pipeline: a single-loop oracle that builds, sends
+//! and parses real probe bytes (`common::oracle`), and the frozen answer
+//! of the pre-batching scalar pipeline on the full v4 hitlist.
 
 mod common;
 
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
 
-use common::{chaos_hitlist, repeated_prefix_hitlist, run_both};
+use common::{chaos_hitlist, oracle, repeated_prefix_hitlist, run_both, OracleWorker};
 use laces_core::classify::AnycastClassification;
 use laces_core::error::MeasurementError;
 use laces_core::fault::FaultPlan;
-use laces_core::orchestrator::{run_measurement, run_measurement_threaded};
+use laces_core::orchestrator::run_measurement;
 use laces_core::results::MeasurementOutcome;
 use laces_core::spec::MeasurementSpec;
 use laces_netsim::{World, WorldConfig};
+use laces_obs::names::{fabric, per_worker, worker};
 use laces_obs::Fnv;
 use laces_packet::{PrefixKey, Protocol};
 use laces_trace::TraceConfig;
@@ -51,6 +52,17 @@ fn hitlist(world: &World, n: usize) -> Arc<Vec<IpAddr>> {
                 PrefixKey::V4(p) => IpAddr::V4(p.addr(laces_netsim::targets::REPRESENTATIVE_HOST)),
                 PrefixKey::V6(_) => unreachable!(),
             })
+            .collect(),
+    )
+}
+
+/// The first `n` addresses of the v6 hitlist.
+fn v6_hitlist(world: &World, n: usize) -> Arc<Vec<IpAddr>> {
+    Arc::new(
+        laces_hitlist::build_v6(world)
+            .addresses()
+            .into_iter()
+            .take(n)
             .collect(),
     )
 }
@@ -138,14 +150,68 @@ fn outputs_are_byte_identical_across_shard_counts() {
     }
 }
 
+/// The pipeline against the byte-path oracle: the same records, the same
+/// probes sent, received and rejected per worker, and the same fabric
+/// reply counts, on v4 ICMP and TCP, a CHAOS hitlist, v6 ICMP and a
+/// hitlist that repeats prefixes.
 #[test]
-fn sharded_pipeline_matches_the_threaded_reference() {
+fn pipeline_matches_the_byte_path_oracle() {
     let w = world();
-    let targets = hitlist(w, 120);
-    let spec = spec_with(w, 42_001, Arc::clone(&targets), FaultPlan::none(), 4);
-    let sharded = run_both(w, &spec);
-    let threaded = run_measurement_threaded(w, &spec).expect("valid spec");
-    assert_outputs_equal(&threaded, &sharded, "threaded-vs-sharded");
+    let v4 = hitlist(w, 120);
+    let inputs = [
+        ("icmp_v4", Protocol::Icmp, Arc::clone(&v4)),
+        ("tcp_v4", Protocol::Tcp, Arc::clone(&v4)),
+        ("chaos", Protocol::Chaos, chaos_hitlist(w, 60)),
+        ("icmp_v6", Protocol::Icmp, v6_hitlist(w, 120)),
+        (
+            "repeated",
+            Protocol::Icmp,
+            repeated_prefix_hitlist(&v4[..80], 40),
+        ),
+    ];
+    for (id, (name, protocol, targets)) in (42_021..).zip(inputs) {
+        let spec = spec_for(w, id, protocol, targets, FaultPlan::none(), 4);
+        let outcome = run_both(w, &spec);
+        let want = oracle(w, &spec);
+        assert!(
+            !want.records.is_empty(),
+            "{name}: workload must be non-trivial"
+        );
+        assert_eq!(outcome.records, want.records, "{name}: records diverge");
+        assert_eq!(
+            outcome.probes_sent, want.probes_sent,
+            "{name}: probes_sent diverges"
+        );
+        for (wi, ow) in want.workers.iter().enumerate() {
+            let counter = |stem| outcome.telemetry.counter(&per_worker(stem, wi));
+            assert_eq!(
+                counter(worker::PROBES_SENT),
+                ow.probes_sent,
+                "{name}: worker {wi} probes_sent"
+            );
+            assert_eq!(
+                counter(worker::RECORDS_STREAMED),
+                ow.records,
+                "{name}: worker {wi} records_streamed"
+            );
+            assert_eq!(
+                counter(worker::CAPTURES_REJECTED),
+                ow.captures_rejected,
+                "{name}: worker {wi} captures_rejected"
+            );
+        }
+        let total = |f: fn(&OracleWorker) -> u64| want.workers.iter().map(f).sum::<u64>();
+        assert_eq!(
+            outcome.telemetry.counter(fabric::REPLIES_DELIVERED),
+            total(|o| o.replies_delivered),
+            "{name}: replies delivered"
+        );
+        assert_eq!(
+            outcome.telemetry.counter(fabric::UNANSWERED),
+            total(|o| o.unanswered),
+            "{name}: unanswered probes"
+        );
+    }
 }
 
 /// FNV-1a over a run's deterministic outputs: probes sent, replies
@@ -177,9 +243,9 @@ fn pipeline_fingerprint(outcome: &MeasurementOutcome) -> u64 {
     h.finish()
 }
 
-/// The pre-batching scalar pipeline (one `send_probe_observed` and one
-/// channel send per probe, one result send per record), frozen as its
-/// answer on the v4 hitlist: it sent these probes, kept these records and
+/// The pre-batching scalar pipeline (one scalar wire send and one channel
+/// send per probe, one result send per record), frozen as its answer on
+/// the v4 hitlist: it sent these probes, kept these records and
 /// fingerprinted to this value. The batched, sharded pipeline must
 /// reproduce all three.
 #[test]

@@ -6,9 +6,11 @@
 //! (`World::send_probe_batch` with attached metadata and no probe bytes,
 //! skipping reply-byte synthesis), a campaign-scoped [`VpGeometry`] memo
 //! replacing per-target haversines, and the grid-indexed city
-//! geolocation. The original scalar engine survives as
-//! [`run_campaign_reference`], and the `gcd_invariance` suite pins both
-//! engines — and every chunk count — byte-identical.
+//! geolocation. The `gcd_invariance` suite pins every chunk count
+//! byte-identical, and checks the campaign against a single-loop oracle
+//! that builds real probe bytes, sends them one by one through
+//! `World::send_probe` and enumerates with
+//! [`enumerate_counted`](crate::enumerate::enumerate_counted).
 
 use std::collections::BTreeMap;
 use std::net::IpAddr;
@@ -22,14 +24,12 @@ use laces_netsim::wire::{
 };
 use laces_netsim::{platform as plat, PlatformId, World};
 use laces_obs::{names, Degraded, DegradedReason, RunReport, SimClock, StageTimer};
-use laces_packet::probe::{build_probe, ProbeEncoding, ProbeMeta};
+use laces_packet::probe::{ProbeEncoding, ProbeMeta};
 use laces_packet::{PrefixKey, Protocol};
 use laces_trace::{Component, TraceConfig, TraceEvent, TraceReport, Tracer};
 use serde::{Deserialize, Serialize};
 
-use crate::enumerate::{
-    enumerate_counted_memo, enumerate_counted_reference, Enumeration, RttSample,
-};
+use crate::enumerate::{enumerate_counted_memo, Enumeration, RttSample};
 use crate::geometry::VpGeometry;
 use crate::vp_selection::{select_by_distance, select_by_distance_with};
 
@@ -259,35 +259,6 @@ pub fn run_campaign(
     targets: &[IpAddr],
     cfg: &GcdConfig,
 ) -> Result<GcdReport, MeasurementError> {
-    run_campaign_inner(world, platform, targets, cfg, true)
-}
-
-/// [`run_campaign`] at the pre-PR9 per-probe cost profile: an allocating
-/// `build_probe` through the scalar `send_probe_observed` path (per-call
-/// source/route resolution and reply-byte synthesis), per-pair haversines
-/// for every selection and overlap test, and linear city-table scans for
-/// geolocation. Byte-identical output — this is the invariance oracle,
-/// not a fallback.
-///
-/// # Errors
-///
-/// As [`run_campaign`].
-pub fn run_campaign_reference(
-    world: &Arc<World>,
-    platform: PlatformId,
-    targets: &[IpAddr],
-    cfg: &GcdConfig,
-) -> Result<GcdReport, MeasurementError> {
-    run_campaign_inner(world, platform, targets, cfg, false)
-}
-
-fn run_campaign_inner(
-    world: &Arc<World>,
-    platform: PlatformId,
-    targets: &[IpAddr],
-    cfg: &GcdConfig,
-    fast: bool,
-) -> Result<GcdReport, MeasurementError> {
     if world.platform(platform).is_anycast() {
         return Err(MeasurementError::NotUnicast { platform });
     }
@@ -300,15 +271,13 @@ fn run_campaign_inner(
     }
     // The campaign-scoped geometry memo covers the *whole* platform by VP
     // index, so selection and enumeration share one table.
-    let geom: Option<VpGeometry> = fast.then(|| {
-        let coords: Vec<Coord> = world
-            .platform(platform)
-            .vps()
-            .map(|vps| vps.iter().map(|v| v.coord).collect())
-            .unwrap_or_default();
-        VpGeometry::new(&coords, &world.db)
-    });
-    let vps = participating_vps_inner(world, platform, cfg, geom.as_ref());
+    let coords: Vec<Coord> = world
+        .platform(platform)
+        .vps()
+        .map(|vps| vps.iter().map(|v| v.coord).collect())
+        .unwrap_or_default();
+    let geom = VpGeometry::new(&coords, &world.db);
+    let vps = participating_vps_inner(world, platform, cfg, Some(&geom));
     let tracer = Tracer::new(cfg.trace);
     let wire = WireStats::new();
     let overlap_tests = AtomicU64::new(0);
@@ -325,7 +294,7 @@ fn run_campaign_inner(
             let wire = &wire;
             let overlap_tests = &overlap_tests;
             let tracer = &tracer;
-            let geom = geom.as_ref();
+            let geom = &geom;
             chunks_spawned += 1;
             // Chunk markers are a function of the fan-out, so — like the
             // orchestrator's ShardSpan events — they are opt-in and
@@ -345,65 +314,51 @@ fn run_campaign_inner(
                     }
                     let mut local: Vec<(PrefixKey, PrefixGcd)> = Vec::with_capacity(part.len());
                     let mut tests = 0u64;
-                    match geom {
-                        Some(g) => {
-                            // Resolved once per (chunk, VP): the probe
-                            // session (sender state, latency key, scratch
-                            // buffers) and both family source addresses.
-                            let mut sessions: Vec<ProbeSession> = vps
-                                .iter()
-                                .map(|&(vp, _)| {
-                                    world.probe_session(ProbeSource::Vp { platform, vp })
-                                })
-                                .collect();
-                            let srcs: Vec<(IpAddr, IpAddr)> = vps
-                                .iter()
-                                .map(|&(vp, _)| {
-                                    (plat::vp_src_v4(platform, vp), plat::vp_src_v6(platform, vp))
-                                })
-                                .collect();
-                            let ctx = MeasurementCtx {
-                                id: cfg.measurement_id,
-                                day: cfg.day,
-                                span_ms: 0,
-                            };
-                            let window_start = u64::from(cfg.measurement_id) * 1000;
-                            // Probing first (VP-major batches), analysis
-                            // second (target-major, as the trace demands).
-                            let rtts = probe_chunk_fast(
-                                world,
-                                vps,
-                                &mut sessions,
-                                &srcs,
-                                part,
-                                cfg,
-                                &ctx,
-                                window_start,
-                                wire,
-                            );
-                            for (ti, &target) in part.iter().enumerate() {
-                                let r = analyze_target_fast(
-                                    vps,
-                                    g,
-                                    &rtts,
-                                    ti,
-                                    part.len(),
-                                    target,
-                                    cfg,
-                                    &mut tests,
-                                    tracer,
-                                );
-                                local.push((PrefixKey::of(target), r));
-                            }
-                        }
-                        None => {
-                            for &target in part {
-                                let r = measure_target_reference(
-                                    world, platform, vps, target, cfg, wire, &mut tests, tracer,
-                                );
-                                local.push((PrefixKey::of(target), r));
-                            }
-                        }
+                    // Resolved once per (chunk, VP): the probe session
+                    // (sender state, latency key, scratch buffers) and
+                    // both family source addresses.
+                    let mut sessions: Vec<ProbeSession> = vps
+                        .iter()
+                        .map(|&(vp, _)| world.probe_session(ProbeSource::Vp { platform, vp }))
+                        .collect();
+                    let srcs: Vec<(IpAddr, IpAddr)> = vps
+                        .iter()
+                        .map(|&(vp, _)| {
+                            (plat::vp_src_v4(platform, vp), plat::vp_src_v6(platform, vp))
+                        })
+                        .collect();
+                    let ctx = MeasurementCtx {
+                        id: cfg.measurement_id,
+                        day: cfg.day,
+                        span_ms: 0,
+                    };
+                    let window_start = u64::from(cfg.measurement_id) * 1000;
+                    // Probing first (VP-major batches), analysis second
+                    // (target-major, as the trace demands).
+                    let rtts = probe_chunk(
+                        world,
+                        vps,
+                        &mut sessions,
+                        &srcs,
+                        part,
+                        cfg,
+                        &ctx,
+                        window_start,
+                        wire,
+                    );
+                    for (ti, &target) in part.iter().enumerate() {
+                        let r = analyze_target(
+                            vps,
+                            geom,
+                            &rtts,
+                            ti,
+                            part.len(),
+                            target,
+                            cfg,
+                            &mut tests,
+                            tracer,
+                        );
+                        local.push((PrefixKey::of(target), r));
                     }
                     // laces-lint: allow(atomic-ordering) — per-chunk test counts commute under addition; into_inner() after the scope join reads the order-independent sum
                     overlap_tests.fetch_add(tests, Ordering::Relaxed);
@@ -544,10 +499,10 @@ fn classify_and_trace(
 ///
 /// Per-probe wire draws are keyed on (target, schedule offset, VP,
 /// measurement id), never on transmission order, so the VP-major order
-/// is invisible in every outcome; `gcd_invariance` pins this against the
-/// target-major reference engine.
+/// is invisible in every outcome; `gcd_invariance` pins this against a
+/// target-major oracle.
 #[allow(clippy::too_many_arguments)]
-fn probe_chunk_fast(
+fn probe_chunk(
     world: &World,
     vps: &[(usize, Coord)],
     sessions: &mut [ProbeSession],
@@ -616,8 +571,8 @@ fn probe_chunk_fast(
     if cfg.precheck {
         // Responsiveness gate from the first participating VP: probe the
         // whole slice from vps[0], then engage the rest of the platform
-        // only for the targets that answered — the probe set the
-        // target-major reference sends, reordered.
+        // only for the targets that answered — the probe set a
+        // target-major walk sends, reordered.
         probe_vp(0, sessions, &v4, &v6, &mut rtts);
         let resp = |tis: &[usize]| -> Vec<usize> {
             tis.iter()
@@ -695,10 +650,9 @@ fn send_vp_batch(
 
 /// Assemble one target's verdict from the chunk's RTT matrix: trace the
 /// per-VP probes in platform order, run the memoized enumeration, and
-/// classify — the same per-target walk as the reference engine, with the
-/// wire work already done.
+/// classify, with the wire work already done.
 #[allow(clippy::too_many_arguments)]
-fn analyze_target_fast(
+fn analyze_target(
     vps: &[(usize, Coord)],
     geom: &VpGeometry,
     rtts: &[f64],
@@ -758,104 +712,6 @@ fn analyze_target_fast(
 
     let tests_before = *overlap_tests;
     let enumeration = enumerate_counted_memo(&samples, geom, overlap_tests);
-    let tests_here = *overlap_tests - tests_before;
-    classify_and_trace(tracer, prefix, enumeration, tests_here)
-}
-
-/// Measure one target at the pre-PR9 cost profile (see
-/// [`run_campaign_reference`]): allocating probe construction, the scalar
-/// observed wire path, recomputed haversines, linear geolocation scans.
-#[allow(clippy::too_many_arguments)]
-fn measure_target_reference(
-    world: &Arc<World>,
-    platform: PlatformId,
-    vps: &[(usize, Coord)],
-    target: IpAddr,
-    cfg: &GcdConfig,
-    wire: &WireStats,
-    overlap_tests: &mut u64,
-    tracer: &Tracer,
-) -> PrefixGcd {
-    let ctx = MeasurementCtx {
-        id: cfg.measurement_id,
-        day: cfg.day,
-        span_ms: 0,
-    };
-    let prefix = PrefixKey::of(target);
-    let mut samples: Vec<RttSample> = Vec::with_capacity(vps.len());
-
-    let probe_from = |vp: usize| -> Option<f64> {
-        let src = match target {
-            IpAddr::V4(_) => plat::vp_src_v4(platform, vp),
-            IpAddr::V6(_) => plat::vp_src_v6(platform, vp),
-        };
-        let mut best: Option<f64> = None;
-        // Fixed window start for rate invariance; see `probe_target_fast`.
-        let window_start = u64::from(cfg.measurement_id) * 1000;
-        for attempt in 0..cfg.attempts.max(1) {
-            let tx = window_start + u64::from(attempt) * 50;
-            let meta = ProbeMeta {
-                measurement_id: cfg.measurement_id,
-                worker_id: vp_wire_id(vp),
-                tx_time_ms: tx,
-            };
-            let pkt = build_probe(src, target, cfg.protocol, &meta, ProbeEncoding::PerWorker);
-            if let Ok(Some(d)) = world.send_probe_observed(
-                ProbeSource::Vp { platform, vp },
-                &pkt,
-                tx,
-                window_start,
-                &ctx,
-                wire,
-            ) {
-                best = Some(best.map_or(d.rtt_ms, |b: f64| b.min(d.rtt_ms)));
-            }
-        }
-        best
-    };
-
-    let mut start = 0usize;
-    if cfg.precheck {
-        // Responsiveness gate from the first participating VP.
-        let Some((vp0, c0)) = vps.first().copied() else {
-            trace_verdict(tracer, prefix, GcdClass::Unresponsive);
-            return PrefixGcd {
-                class: GcdClass::Unresponsive,
-                enumeration: enumerate_counted_reference(&[], &world.db, overlap_tests),
-            };
-        };
-        let best = probe_from(vp0);
-        trace_probe(tracer, prefix, vp0, best);
-        match best {
-            Some(rtt) => samples.push(RttSample {
-                vp: vp0,
-                vp_coord: c0,
-                rtt_ms: rtt,
-            }),
-            None => {
-                trace_verdict(tracer, prefix, GcdClass::Unresponsive);
-                return PrefixGcd {
-                    class: GcdClass::Unresponsive,
-                    enumeration: enumerate_counted_reference(&[], &world.db, overlap_tests),
-                };
-            }
-        }
-        start = 1;
-    }
-    for &(vp, coord) in &vps[start..] {
-        let best = probe_from(vp);
-        trace_probe(tracer, prefix, vp, best);
-        if let Some(rtt) = best {
-            samples.push(RttSample {
-                vp,
-                vp_coord: coord,
-                rtt_ms: rtt,
-            });
-        }
-    }
-
-    let tests_before = *overlap_tests;
-    let enumeration = enumerate_counted_reference(&samples, &world.db, overlap_tests);
     let tests_here = *overlap_tests - tests_before;
     classify_and_trace(tracer, prefix, enumeration, tests_here)
 }

@@ -130,28 +130,12 @@ pub fn enumerate_counted_memo(
     )
 }
 
-/// [`enumerate_counted`] at the pre-index cost profile: per-pair
-/// haversines for every overlap test and a linear scan of the city table
-/// for every geolocation. Semantically identical to the other variants —
-/// this is the equivalence-test oracle, not a fallback.
-pub fn enumerate_counted_reference(
-    samples: &[RttSample],
-    db: &CityDb,
-    overlap_tests: &mut u64,
-) -> Enumeration {
-    enumerate_core(
-        samples,
-        overlap_tests,
-        |_, p, _, d| p.overlaps(d),
-        |_, d| db.most_populous_in_linear(d),
-    )
-}
-
-/// The shared greedy pass behind the `enumerate_counted*` variants.
-/// `overlaps(picked_vp, picked_disk, cand_vp, cand_disk)` and
-/// `geolocate(witness_vp, disk)` abstract the geometry source; every
-/// variant MUST be observationally identical to [`Disk::overlaps`] /
-/// [`CityDb::most_populous_in`] so the variants stay interchangeable.
+/// The shared greedy pass behind [`enumerate_counted`] and
+/// [`enumerate_counted_memo`]. `overlaps(picked_vp, picked_disk, cand_vp,
+/// cand_disk)` and `geolocate(witness_vp, disk)` abstract the geometry
+/// source; both variants MUST be observationally identical to
+/// [`Disk::overlaps`] / [`CityDb::most_populous_in`] so they stay
+/// interchangeable.
 fn enumerate_core(
     samples: &[RttSample],
     overlap_tests: &mut u64,
@@ -439,14 +423,11 @@ mod tests {
                 coords[s.vp] = s.vp_coord;
             }
             let geom = VpGeometry::new(&coords, &db);
-            let (mut t0, mut t1, mut t2) = (0u64, 0u64, 0u64);
+            let (mut t0, mut t1) = (0u64, 0u64);
             let base = enumerate_counted(&samples, &db, &mut t0);
             let memo = enumerate_counted_memo(&samples, &geom, &mut t1);
-            let refr = enumerate_counted_reference(&samples, &db, &mut t2);
             assert_eq!(base, memo);
-            assert_eq!(base, refr);
             assert_eq!(t0, t1);
-            assert_eq!(t0, t2);
         }
     }
 }

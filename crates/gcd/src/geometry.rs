@@ -13,8 +13,8 @@
 //! exactly symmetric IEEE function (`sin(-x) = -sin(x)` exactly, the
 //! half-angle sines are squared, and multiplication commutes), so storing
 //! the `(min, max)` pair's distance loses nothing regardless of which
-//! direction the caller asks for. The `gcd_invariance` suite pins the
-//! memoized engine byte-identical to the recomputing reference.
+//! direction the caller asks for. The `gcd_invariance` suite checks the
+//! memoized engine against an oracle that recomputes every distance.
 
 use laces_geo::{CityDb, CityId, Coord};
 

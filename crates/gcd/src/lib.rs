@@ -53,10 +53,10 @@ pub mod enumerate;
 pub mod geometry;
 pub mod vp_selection;
 
-pub use engine::{run_campaign, run_campaign_reference, GcdClass, GcdConfig, GcdReport, PrefixGcd};
+pub use engine::{run_campaign, GcdClass, GcdConfig, GcdReport, PrefixGcd};
 pub use enumerate::{
-    enumerate, enumerate_counted, enumerate_counted_memo, enumerate_counted_reference,
-    has_violation, Enumeration, RttSample, SiteEstimate,
+    enumerate, enumerate_counted, enumerate_counted_memo, has_violation, Enumeration, RttSample,
+    SiteEstimate,
 };
 pub use geometry::VpGeometry;
 pub use vp_selection::{select_by_distance, select_by_distance_with};

@@ -1,22 +1,31 @@
 //! GCD engine invariance: the fast path is pure execution layout.
 //!
-//! PR 9's tentpole claim is that the campaign's cost profile — the
-//! [`VpGeometry`] memo behind every selection and overlap test, the
-//! grid-indexed city geolocation, per-chunk probe sessions with reusable
-//! buffers on the prepared wire path, and the chunk fan-out itself —
-//! changes *only* throughput. Every per-prefix result, the serialized
-//! telemetry, and the flight-recorder export must be byte-identical
-//! between [`run_campaign`] and the pre-PR9 [`run_campaign_reference`],
-//! and across chunk counts {1, 16}, fault-free and with a panicking
-//! chunk plan. These tests pin that claim, mirroring the probing
-//! pipeline's `shard_invariance.rs`.
+//! The campaign's cost profile — the [`VpGeometry`] memo behind every
+//! selection and overlap test, the grid-indexed city geolocation,
+//! per-chunk probe sessions with reusable buffers on the prepared wire
+//! path, VP-major batches, and the chunk fan-out itself — changes *only*
+//! throughput. Every per-prefix result, the serialized telemetry, and the
+//! flight-recorder export must be byte-identical across chunk counts
+//! {1, 4, 16}, fault-free and with a panicking chunk plan, mirroring the
+//! probing pipeline's `shard_invariance.rs`. The results and the probe,
+//! reply and overlap-test counts must also equal those of a single-loop
+//! [`oracle`] that walks targets and VPs one probe at a time through real
+//! probe bytes and the plain `enumerate_counted`.
+//!
+//! [`VpGeometry`]: laces_gcd::VpGeometry
 
+use std::collections::BTreeMap;
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
 
-use laces_gcd::engine::{run_campaign, run_campaign_reference, GcdConfig, GcdReport};
-use laces_netsim::{World, WorldConfig};
-use laces_obs::DegradedReason;
+use laces_gcd::engine::{
+    participating_vps, run_campaign, GcdClass, GcdConfig, GcdReport, PrefixGcd,
+};
+use laces_gcd::enumerate::{enumerate_counted, RttSample};
+use laces_netsim::wire::{MeasurementCtx, ProbeSource};
+use laces_netsim::{platform as plat, PlatformId, World, WorldConfig};
+use laces_obs::{names, DegradedReason};
+use laces_packet::probe::{build_probe, ProbeEncoding, ProbeMeta};
 use laces_packet::PrefixKey;
 use laces_trace::TraceConfig;
 
@@ -26,9 +35,12 @@ fn world() -> &'static Arc<World> {
     WORLD.get_or_init(|| Arc::new(World::generate(WorldConfig::tiny())))
 }
 
+/// `n` v4 targets spread evenly over the world's v4 range, so a campaign
+/// meets anycast, unicast and unresponsive prefixes.
 fn targets(world: &World, n: usize) -> Vec<IpAddr> {
     world.targets[..world.n_v4]
         .iter()
+        .step_by((world.n_v4 / n).max(1))
         .take(n)
         .map(|t| match t.prefix {
             PrefixKey::V4(p) => IpAddr::V4(p.addr(laces_netsim::targets::REPRESENTATIVE_HOST)),
@@ -69,20 +81,133 @@ fn assert_reports_equal(a: &GcdReport, b: &GcdReport, label: &str) {
     );
 }
 
+/// The [`oracle`]'s answer for one campaign.
+#[derive(Debug, Default)]
+struct OracleCampaign {
+    results: BTreeMap<PrefixKey, PrefixGcd>,
+    probes_sent: u64,
+    replies: u64,
+    unanswered: u64,
+    overlap_tests: u64,
+}
+
+/// A GCD campaign as one loop. For each target and each VP of
+/// [`participating_vps`], send every attempt as real probe bytes built at
+/// `measurement_id × 1000 + 50 × attempt` through `World::send_probe`, one
+/// at a time, and keep the minimum RTT. Under precheck a target the first
+/// VP hears nothing from is probed no further. Then enumerate with the
+/// plain [`enumerate_counted`] on the world's city table. No chunks,
+/// threads, sessions, batches or geometry memo.
+fn oracle(
+    world: &World,
+    platform: PlatformId,
+    targets: &[IpAddr],
+    cfg: &GcdConfig,
+) -> OracleCampaign {
+    let vps = participating_vps(world, platform, cfg);
+    let ctx = MeasurementCtx {
+        id: cfg.measurement_id,
+        day: cfg.day,
+        span_ms: 0,
+    };
+    let window_start = u64::from(cfg.measurement_id) * 1000;
+    let mut out = OracleCampaign::default();
+    for &target in targets {
+        let mut samples = Vec::new();
+        for (pos, &(vp, vp_coord)) in vps.iter().enumerate() {
+            let src = match target {
+                IpAddr::V4(_) => plat::vp_src_v4(platform, vp),
+                IpAddr::V6(_) => plat::vp_src_v6(platform, vp),
+            };
+            let mut best: Option<f64> = None;
+            for attempt in 0..u64::from(cfg.attempts.max(1)) {
+                let tx = window_start + 50 * attempt;
+                let meta = ProbeMeta {
+                    measurement_id: cfg.measurement_id,
+                    worker_id: u16::try_from(vp).expect("VP ids fit the wire's u16"),
+                    tx_time_ms: tx,
+                };
+                let probe = build_probe(src, target, cfg.protocol, &meta, ProbeEncoding::PerWorker);
+                let reply = world
+                    .send_probe(
+                        ProbeSource::Vp { platform, vp },
+                        &probe,
+                        tx,
+                        window_start,
+                        &ctx,
+                    )
+                    .expect("built probes are well-formed");
+                out.probes_sent += 1;
+                match reply {
+                    Some(d) => {
+                        out.replies += 1;
+                        best = Some(best.map_or(d.rtt_ms, |b| b.min(d.rtt_ms)));
+                    }
+                    None => out.unanswered += 1,
+                }
+            }
+            match best {
+                Some(rtt_ms) => samples.push(RttSample {
+                    vp,
+                    vp_coord,
+                    rtt_ms,
+                }),
+                None if cfg.precheck && pos == 0 => break,
+                None => {}
+            }
+        }
+        let enumeration = enumerate_counted(&samples, &world.db, &mut out.overlap_tests);
+        let class = if enumeration.n_samples == 0 {
+            GcdClass::Unresponsive
+        } else if enumeration.is_anycast() {
+            GcdClass::Anycast
+        } else {
+            GcdClass::Unicast
+        };
+        out.results
+            .insert(PrefixKey::of(target), PrefixGcd { class, enumeration });
+    }
+    out
+}
+
+/// Assert a campaign report agrees with the oracle: every per-prefix
+/// result, the probe count, and the probe, reply and overlap-test
+/// counters of the telemetry.
+fn assert_matches_oracle(report: &GcdReport, want: &OracleCampaign, label: &str) {
+    assert_eq!(report.results, want.results, "{label}: results diverge");
+    assert_eq!(
+        report.probes_sent, want.probes_sent,
+        "{label}: probes_sent diverges"
+    );
+    for (key, value) in [
+        (names::gcd::PROBES_SENT, want.probes_sent),
+        (names::gcd::REPLIES, want.replies),
+        (names::gcd::UNANSWERED, want.unanswered),
+        (names::gcd::ENUMERATION_OVERLAP_TESTS, want.overlap_tests),
+    ] {
+        assert_eq!(
+            report.telemetry.counter(key),
+            value,
+            "{label}: {key} diverges"
+        );
+    }
+}
+
+/// The daily configuration (ark_dev, precheck on) against the oracle.
 #[test]
 fn fast_engine_matches_the_reference_byte_for_byte() {
     let w = world();
     let t = targets(w, 80);
     let cfg = cfg_with(47_001, 4);
     let fast = run_campaign(w, w.std_platforms.ark_dev, &t, &cfg).expect("unicast platform");
-    let reference =
-        run_campaign_reference(w, w.std_platforms.ark_dev, &t, &cfg).expect("unicast platform");
-    assert!(!fast.results.is_empty(), "workload must be non-trivial");
-    assert!(
-        !fast.trace_report.to_jsonl().is_empty(),
-        "tracing must be live or the trace comparison is vacuous"
-    );
-    assert_reports_equal(&fast, &reference, "fast-vs-reference");
+    let want = oracle(w, w.std_platforms.ark_dev, &t, &cfg);
+    for class in [GcdClass::Anycast, GcdClass::Unicast, GcdClass::Unresponsive] {
+        assert!(
+            fast.count(class) > 0,
+            "workload must hold {class:?} targets"
+        );
+    }
+    assert_matches_oracle(&fast, &want, "fast-vs-oracle");
 }
 
 #[test]
@@ -97,10 +222,9 @@ fn fast_engine_matches_the_reference_under_vp_selection() {
     cfg.min_vp_distance_km = Some(400.0);
     cfg.max_vps = Some(9);
     let fast = run_campaign(w, w.std_platforms.atlas, &t, &cfg).expect("unicast platform");
-    let reference =
-        run_campaign_reference(w, w.std_platforms.atlas, &t, &cfg).expect("unicast platform");
+    let want = oracle(w, w.std_platforms.atlas, &t, &cfg);
     assert!(fast.n_vps <= 9, "max_vps must have engaged");
-    assert_reports_equal(&fast, &reference, "atlas fast-vs-reference");
+    assert_matches_oracle(&fast, &want, "atlas fast-vs-oracle");
 }
 
 #[test]
@@ -109,6 +233,10 @@ fn outputs_are_byte_identical_across_chunk_counts() {
     let t = targets(w, 80);
     let baseline = run_campaign(w, w.std_platforms.ark_dev, &t, &cfg_with(47_003, 1))
         .expect("unicast platform");
+    assert!(
+        !baseline.trace_report.to_jsonl().is_empty(),
+        "tracing must be live or the trace comparison is vacuous"
+    );
     for threads in [4usize, 16] {
         let outcome = run_campaign(w, w.std_platforms.ark_dev, &t, &cfg_with(47_003, threads))
             .expect("unicast platform");
@@ -119,17 +247,13 @@ fn outputs_are_byte_identical_across_chunk_counts() {
             "chunk layout must land in chunk_report"
         );
     }
-    // The reference engine is chunked identically.
-    let ref_single = run_campaign_reference(w, w.std_platforms.ark_dev, &t, &cfg_with(47_003, 1))
-        .expect("unicast platform");
-    let ref_chunked = run_campaign_reference(w, w.std_platforms.ark_dev, &t, &cfg_with(47_003, 16))
-        .expect("unicast platform");
-    assert_reports_equal(&ref_single, &ref_chunked, "reference threads=16");
-    assert_reports_equal(&baseline, &ref_single, "fast-vs-reference threads=1");
+    // A single chunk answers as the oracle does.
+    let want = oracle(w, w.std_platforms.ark_dev, &t, &cfg_with(47_003, 1));
+    assert_matches_oracle(&baseline, &want, "fast-vs-oracle threads=1");
 }
 
 #[test]
-fn faulted_chunk_quarantines_its_targets_on_both_engines() {
+fn faulted_chunk_quarantines_its_targets() {
     let w = world();
     let t = targets(w, 80);
     let clean = run_campaign(w, w.std_platforms.ark_dev, &t, &cfg_with(47_004, 4))
@@ -138,11 +262,6 @@ fn faulted_chunk_quarantines_its_targets_on_both_engines() {
     let mut cfg = cfg_with(47_004, 4);
     cfg.fault_chunk = Some(1);
     let fast = run_campaign(w, w.std_platforms.ark_dev, &t, &cfg).expect("unicast platform");
-    let reference =
-        run_campaign_reference(w, w.std_platforms.ark_dev, &t, &cfg).expect("unicast platform");
-
-    // The fault plan degrades both engines identically.
-    assert_reports_equal(&fast, &reference, "faulted fast-vs-reference");
     assert!(fast.is_degraded(), "lost chunk must degrade the campaign");
     assert_eq!(
         fast.degraded_reasons(),

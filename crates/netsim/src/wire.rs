@@ -384,7 +384,7 @@ impl World {
                     None
                 }
                 // A malformed probe is counted as a probe but elicits
-                // nothing — same accounting as the scalar observed path.
+                // nothing.
                 Err(e) => {
                     if first_err.is_none() {
                         first_err = Some(e);
@@ -692,27 +692,6 @@ impl World {
             rx_time_ms,
             rtt_ms: rtt,
         }))
-    }
-
-    /// [`World::send_probe`], recording the probe and its outcome into
-    /// `stats`. This is the entry point the measurement path uses, so every
-    /// probe a worker transmits is accounted for in the run's telemetry.
-    pub fn send_probe_observed(
-        &self,
-        src: ProbeSource,
-        packet: &Packet,
-        tx_time_ms: u64,
-        window_start_ms: u64,
-        ctx: &MeasurementCtx,
-        stats: &WireStats,
-    ) -> Result<Option<Delivery>, PacketError> {
-        stats.probes.inc();
-        let result = self.send_probe(src, packet, tx_time_ms, window_start_ms, ctx)?;
-        match result {
-            Some(_) => stats.deliveries.inc(),
-            None => stats.unanswered.inc(),
-        }
-        Ok(result)
     }
 
     /// Coordinate of a vantage point on any platform.

@@ -3,9 +3,8 @@
 //! The census is published daily as JSON-lines (R2/R7: an open dataset);
 //! serving it to downstream consumers is a *read-heavy, longitudinal,
 //! skewed* workload — repeated lookups of a few hot anycast prefixes
-//! across weeks of snapshots. Deserialising whole days per query (the
-//! deprecated `CensusQuery` pattern) cannot get to sub-millisecond point
-//! lookups; this crate can, because `CensusStore::save` writes a compact
+//! across weeks of snapshots. Deserialising whole days per query cannot
+//! get to sub-millisecond point lookups; this crate can, because `CensusStore::save` writes a compact
 //! versioned binary index sidecar next to each day and [`QueryService`]
 //! answers every query kind from the touched index sections alone.
 //!

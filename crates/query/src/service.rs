@@ -315,9 +315,8 @@ impl QueryService {
     }
 
     /// The history of one prefix over every selected day:
-    /// `(day, anycast_based?, gcd_confirmed?)` — the deprecated
-    /// `CensusQuery::prefix_history` shape, answered from prefix tables
-    /// only.
+    /// `(day, anycast_based?, gcd_confirmed?)`, answered from prefix
+    /// tables only.
     pub fn history(&mut self, prefix: PrefixKey) -> Result<Vec<(u32, bool, bool)>, QueryError> {
         self.history_between(prefix, 0, u32::MAX)
     }
@@ -360,8 +359,7 @@ impl QueryService {
         })
     }
 
-    /// Per-day GCD-confirmed counts over every selected day — the
-    /// deprecated `CensusQuery::daily_confirmed_counts` shape, answered
+    /// Per-day GCD-confirmed counts over every selected day, answered
     /// from day summaries only.
     pub fn daily_confirmed_counts(&mut self) -> Result<BTreeMap<u32, usize>, QueryError> {
         let days = self.archive.days().to_vec();

@@ -180,18 +180,6 @@ fn indexed_queries_match_in_memory_recompute_fault_free() {
     let mut qs = store.query().build().unwrap();
     assert_eq!(qs.days(), [0, 1, 2]);
     assert_indexed_matches_memory(&mut qs, &censuses);
-
-    // The deprecated eager path agrees with the indexed one.
-    #[allow(deprecated)]
-    {
-        let eager = laces_census::CensusQuery::new(censuses.clone());
-        let p = censuses[0].records.keys().next().copied().unwrap();
-        assert_eq!(qs.history(p).unwrap(), eager.prefix_history(p));
-        assert_eq!(
-            qs.daily_confirmed_counts().unwrap(),
-            eager.daily_confirmed_counts()
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
